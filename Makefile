@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-plans test-tx race bench bench-json bench-compare bench-guard bench-server serve loadtest profile check fuzz crash
+.PHONY: all build vet test test-plans test-exec test-tx race bench bench-json bench-compare bench-guard bench-server serve loadtest profile check fuzz crash
 
 # Seconds of fuzzing per parser target.
 FUZZTIME ?= 30s
@@ -23,6 +23,15 @@ test: test-plans
 #   $(GO) test -run TestGoldenPlans ./internal/sql/ -update
 test-plans:
 	$(GO) test -run TestGoldenPlans ./internal/sql/
+
+# Executor safety net, uncached: the golden plans, the randomized
+# XQ2SQL-vs-native equivalence suite (which also diffs 1 against 4
+# workers), the serial-vs-parallel determinism and chunkPoison retention
+# tests, and the crash and fault sweeps.
+test-exec:
+	$(GO) test -count=1 -run 'TestGoldenPlans|Determinism|PoisonedReuse|RetentionSafety' ./internal/sql/
+	$(GO) test -count=1 -run 'TestRandomQueryEquivalence' ./internal/xq2sql/
+	$(GO) test -count=1 -run 'Crash|FaultSweep' ./internal/sql/ ./internal/core/
 
 race:
 	$(GO) test -race ./internal/core/... ./internal/sql/... ./internal/xq2sql/...

@@ -741,6 +741,20 @@ func BenchmarkQueryConcurrent(b *testing.B) {
 	}
 }
 
+// queryOpts parses and runs one SELECT with per-query execution options
+// (worker count, memory budget), as db.Query does with the DB defaults.
+func queryOpts(db *sql.DB, q string, o sql.ExecOpts) (*sql.Rows, error) {
+	stmt, err := sql.Parse(q)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*sql.Select)
+	if !ok {
+		return nil, fmt.Errorf("not a SELECT: %s", q)
+	}
+	return db.QueryStmtOptsContext(context.Background(), sel, o)
+}
+
 // ---------------------------------------------------------------------
 // E18 (vectorized execution): micro-benchmarks isolating the two
 // operators the columnar chunk format rebuilt. ChunkScan measures a
@@ -774,11 +788,9 @@ func BenchmarkChunkScan(b *testing.B) {
 	q := `SELECT k, v FROM m WHERE grp = 'g3'`
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			db.SetQueryWorkers(w)
-			b.ResetTimer()
 			rows := 0
 			for i := 0; i < b.N; i++ {
-				res, err := db.Query(q)
+				res, err := queryOpts(db, q, sql.ExecOpts{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -828,11 +840,9 @@ func BenchmarkHashJoinPartitioned(b *testing.B) {
 	q := `SELECT d.tag, f.amt FROM dl d, fr f WHERE f.fk = d.k AND d.k < 50`
 	for _, w := range workerCounts {
 		b.Run(fmt.Sprintf("workers=%d", w), func(b *testing.B) {
-			db.SetQueryWorkers(w)
-			b.ResetTimer()
 			rows := 0
 			for i := 0; i < b.N; i++ {
-				res, err := db.Query(q)
+				res, err := queryOpts(db, q, sql.ExecOpts{Workers: w})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -969,11 +979,9 @@ func BenchmarkJoinSpill(b *testing.B) {
 			name = fmt.Sprintf("budget=%dKiB", budget>>10)
 		}
 		b.Run(name, func(b *testing.B) {
-			db.SetMemBudget(budget)
-			b.ResetTimer()
 			rows := 0
 			for i := 0; i < b.N; i++ {
-				res, err := db.Query(q)
+				res, err := queryOpts(db, q, sql.ExecOpts{MemBudget: budget})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -982,7 +990,6 @@ func BenchmarkJoinSpill(b *testing.B) {
 			b.ReportMetric(float64(rows), "rows")
 		})
 	}
-	db.SetMemBudget(0)
 }
 
 // ---------------------------------------------------------------------

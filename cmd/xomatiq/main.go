@@ -30,7 +30,7 @@ func main() {
 	connect := flag.String("connect", "", "attach to a running xomatiqd line-protocol port (host:port) instead of opening -db")
 	timeout := flag.Duration("timeout", 0, "per-query timeout (e.g. 5s; 0 = none)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shredding goroutines for \\harness loads")
-	queryWorkers := flag.Int("query-workers", runtime.GOMAXPROCS(0), "goroutines per large sequential scan (1 = serial)")
+	scanWorkers := flag.Int("query-workers", runtime.GOMAXPROCS(0), "goroutines per large sequential scan (1 = serial)")
 	flag.Parse()
 
 	if *connect != "" {
@@ -42,7 +42,7 @@ func main() {
 
 	cfg := core.NewConfig(*dbPath)
 	cfg.LoadWorkers = *workers
-	cfg.QueryWorkers = *queryWorkers
+	cfg.QueryWorkers = *scanWorkers
 	eng, err := core.Open(cfg)
 	if err != nil {
 		log.Fatal(err)

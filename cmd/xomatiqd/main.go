@@ -36,7 +36,7 @@ func main() {
 	maxSessions := flag.Int("max-sessions", 64, "max concurrent sessions (0 = unlimited)")
 	maxInflight := flag.Int("max-inflight", 128, "max in-flight queries before shedding (0 = unlimited)")
 	workers := flag.Int("workers", runtime.GOMAXPROCS(0), "shredding goroutines for ingest")
-	queryWorkers := flag.Int("query-workers", runtime.GOMAXPROCS(0), "goroutines per large sequential scan (1 = serial)")
+	scanWorkers := flag.Int("query-workers", runtime.GOMAXPROCS(0), "goroutines per large sequential scan (1 = serial)")
 	drain := flag.Duration("drain", 10*time.Second, "graceful shutdown drain budget")
 	preload := flag.String("preload", "", "load a flat file at startup: db=format:path (repeatable, comma-separated)")
 	slow := flag.Duration("slow", 0, "slow-query log threshold (0 = disabled)")
@@ -44,7 +44,7 @@ func main() {
 
 	cfg := core.NewConfig(*dbPath)
 	cfg.LoadWorkers = *workers
-	cfg.QueryWorkers = *queryWorkers
+	cfg.QueryWorkers = *scanWorkers
 	cfg.MaxSessions = *maxSessions
 	cfg.MaxInflightQueries = *maxInflight
 	cfg.SlowQueryThreshold = *slow

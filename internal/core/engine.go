@@ -436,7 +436,7 @@ func (e *Engine) harnessStreamLocked(ctx context.Context, dbName string, tr houn
 		trDone = true
 		return <-trErr
 	}
-	docs, tuples, err := e.runLoadPipeline(ctx, dbName, tr.DTD(), true, produce)
+	docs, tuples, err := e.runLoadPipeline(ctx, dbName, tr.DTD(), produce)
 	if err != nil {
 		return 0, err
 	}
@@ -484,22 +484,34 @@ func (e *Engine) Update(dbName string) (hounds.ChangeSet, error) {
 }
 
 // UpdateContext is Update with cooperative cancellation; like
-// HarnessContext, the delta load aborts between documents and chunks.
-// The diff needs the full new harvest up front, so the transform is
-// materialised (and validated) here; the replacement loads still go
-// through the parallel shredding pipeline, with inline index
-// maintenance for small deltas and the deferred bulk path once the
-// delta reaches a full chunk.
+// HarnessContext, the delta load aborts between documents. The diff
+// needs the full new harvest up front, so the transform is materialised
+// (and validated) here. The whole delta — deletions of removed and
+// modified entries, then the replacement loads through the parallel
+// shredding pipeline with inline index maintenance — applies in one
+// batch, the same one Tx.Update runs in: readers see the old version or
+// the new one, never a mix. After the commit, optimizer statistics
+// refresh and the change trigger fires; a failed update rolls the whole
+// delta back.
 func (e *Engine) UpdateContext(ctx context.Context, dbName string) (hounds.ChangeSet, error) {
 	if err := e.acquireWriter(ctx); err != nil {
 		return hounds.ChangeSet{}, err
 	}
 	defer e.releaseWriter()
-	return e.updateContext(ctx, dbName, nil)
+	if err := e.db.Begin(); err != nil {
+		return hounds.ChangeSet{}, err
+	}
+	st := &txLoadState{dbs: map[string]bool{}}
+	cs, err := e.updateContext(ctx, dbName, st)
+	if err != nil {
+		return cs, errors.Join(err, e.db.Rollback(), e.resyncAfterRollback())
+	}
+	return cs, e.commitLoad(st)
 }
 
-// updateContext is the token-free update body (caller holds the writer
-// token; st as in harnessContext).
+// updateContext is the token-free update body: the caller holds the
+// writer token and an open batch, which the delta joins; st collects the
+// side effects deferred to the batch commit.
 func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadState) (hounds.ChangeSet, error) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -534,23 +546,9 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 		byName[d.Name] = d
 	}
 	// Deletions first (removed entries and the old versions of modified
-	// ones), then the replacement loads in crash-atomic chunks. Inside a
-	// transaction the batch is already open and stays open.
-	if e.txLoad == nil {
-		if err := e.db.Begin(); err != nil {
-			return cs, err
-		}
-	}
+	// ones), then the replacement loads, all inside the caller's batch.
 	for _, name := range append(append([]string{}, cs.Removed...), cs.Modified...) {
 		if err := e.store.DeleteDocument(dbName, name); err != nil {
-			if e.txLoad == nil {
-				return cs, errors.Join(err, e.db.Rollback())
-			}
-			return cs, err
-		}
-	}
-	if e.txLoad == nil {
-		if err := e.db.Commit(); err != nil {
 			return cs, err
 		}
 	}
@@ -559,8 +557,8 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 		loads = append(loads, byName[name])
 	}
 	// Documents were validated by transformAll, so the pipeline skips
-	// DTD validation (nil DTD). Deferring index maintenance only pays
-	// for itself once the delta is bulk-sized.
+	// DTD validation (nil DTD). Inside a batch the pipeline maintains the
+	// indexes inline.
 	produce := func(emit func(*xmldoc.Document) error) error {
 		for _, d := range loads {
 			if err := emit(d); err != nil {
@@ -569,7 +567,7 @@ func (e *Engine) updateContext(ctx context.Context, dbName string, st *txLoadSta
 		}
 		return nil
 	}
-	docs, tuples, err := e.runLoadPipeline(ctx, dbName, nil, len(loads) >= loadChunkSize, produce)
+	docs, tuples, err := e.runLoadPipeline(ctx, dbName, nil, produce)
 	if err != nil {
 		return cs, err
 	}

@@ -105,30 +105,26 @@ type loadResult struct {
 // returns the documents in emit order plus the tuple count written.
 // produce runs on its own goroutine; emit returns an error once the
 // pipeline aborts, which produce must propagate. When d is non-nil each
-// document is DTD-validated on a worker before shredding. deferIdx
-// elects the bulk index path: maintenance off during the load, bulk
-// rebuild from sorted runs at the end (small delta loads keep inline
-// maintenance instead, which is cheaper than a full rebuild).
+// document is DTD-validated on a worker before shredding.
 //
-// Error handling: a failed chunk is rolled back; whatever prefix
+// A load outside a batch takes the bulk path: index maintenance off
+// during the load, bulk rebuild from sorted runs at the end, and
+// crash-atomic chunk commits. On a failed chunk whatever prefix
 // committed before the failure stays, is reindexed, and the error is
 // returned — the next harness replaces the harvest wholesale.
 // Cancellation is honoured between documents and chunks, never inside a
 // chunk commit.
-func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, deferIdx bool, produce func(emit func(*xmldoc.Document) error) error) ([]*xmldoc.Document, int, error) {
+func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD, produce func(emit func(*xmldoc.Document) error) error) ([]*xmldoc.Document, int, error) {
 	sh, err := e.store.NewShredder(dbName)
 	if err != nil {
 		return nil, 0, err
 	}
-	// Inside a transaction the whole load is one open batch: chunks are
-	// not individually committed, and index maintenance stays inline so
-	// the batch's indexes remain usable by the transaction's own reads
-	// (ResumeIndexes would commit, which a batch must not).
+	// Inside a batch (a transaction or an update) the whole load is the
+	// open batch: chunks are not individually committed, and index
+	// maintenance stays inline so the batch's indexes remain usable by
+	// its own reads (ResumeIndexes would commit, which a batch must not).
 	txMode := e.txLoad != nil
-	if txMode {
-		deferIdx = false
-	}
-	if deferIdx {
+	if !txMode {
 		if err := e.db.DeferIndexes(); err != nil {
 			return nil, 0, err
 		}
@@ -210,8 +206,8 @@ func (e *Engine) runLoadPipeline(ctx context.Context, dbName string, d *dtd.DTD,
 			return err
 		}
 		if txMode {
-			// The transaction's batch is already open; a failed chunk
-			// aborts the whole transaction in tx.go.
+			// The caller's batch is already open; a failed chunk aborts
+			// the whole batch (Tx rollback, or UpdateContext's).
 			if err := e.store.InsertChunk(dbName, chunk); err != nil {
 				return err
 			}
@@ -284,7 +280,7 @@ collect:
 	// is a no-op when maintenance was inline (or a rollback already
 	// restored it), and falls back to a catalog rollback on rebuild
 	// errors. In tx mode maintenance was inline and ANALYZE would
-	// commit mid-batch, so both steps move to the transaction's Commit.
+	// commit mid-batch, so both steps move to the batch commit.
 	if txMode {
 		e.txLoad.dbs[dbName] = true
 	} else {

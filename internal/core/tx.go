@@ -251,7 +251,8 @@ func (tx *Tx) Commit() error {
 	e := tx.sess.eng
 	var err error
 	if tx.escalated {
-		err = e.commitTxBatch(tx.st)
+		err = e.commitLoad(tx.st)
+		e.releaseWriter()
 	}
 	e.db.ReleaseSnapshot(tx.snap)
 	e.reg.Session.OpenTx.Add(-1)
@@ -282,12 +283,12 @@ func (tx *Tx) rollbackLocked() error {
 	return err
 }
 
-// commitTxBatch finishes an escalated transaction: commit the open
-// batch, refresh stats, fire deferred triggers, release the writer
-// token. A commit failure already rolled the batch back inside the sql
-// layer, so only the engine-level caches need resyncing.
-func (e *Engine) commitTxBatch(st *txLoadState) error {
-	defer e.releaseWriter()
+// commitLoad commits the open batch of an escalated transaction or an
+// update, then refreshes stats and fires the deferred triggers. A commit
+// failure already rolled the batch back inside the sql layer, so only
+// the engine-level caches need resyncing. The caller holds the writer
+// token.
+func (e *Engine) commitLoad(st *txLoadState) error {
 	if err := e.db.Commit(); err != nil {
 		return errors.Join(err, e.resyncAfterRollback())
 	}

@@ -20,16 +20,13 @@ type OpStats struct {
 	note    atomic.Value // string; execution-time annotation, e.g. "spilled=3 parts"
 }
 
-// Observe records one Next() call: d of inclusive time and, when counted
-// is true, one emitted row. Nil-safe.
-func (o *OpStats) Observe(counted bool, d time.Duration) {
+// Observe records d of inclusive time spent in a call that emitted no
+// rows (e.g. the end-of-stream NextChunk). Nil-safe.
+func (o *OpStats) Observe(d time.Duration) {
 	if o == nil {
 		return
 	}
 	o.touched.Store(true)
-	if counted {
-		o.rows.Add(1)
-	}
 	o.nanos.Add(int64(d))
 }
 
@@ -58,7 +55,8 @@ func (o *OpStats) ObserveBatch(rows int64, d time.Duration) {
 	o.nanos.Add(int64(d))
 }
 
-// Batches reports batches emitted so far (0 for row operators). Nil-safe.
+// Batches reports batches emitted so far (0 for sinks, which report rows
+// through AddRows). Nil-safe.
 func (o *OpStats) Batches() int64 {
 	if o == nil {
 		return 0

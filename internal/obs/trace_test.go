@@ -13,7 +13,7 @@ func TestNilTraceAndOpAreSafe(t *testing.T) {
 		t.Fatal("nil trace should hand back a nil op")
 	}
 	qt.Plainf("  filter")
-	op.Observe(true, time.Millisecond)
+	op.Observe(time.Millisecond)
 	op.AddSince(time.Now())
 	op.AddRows(5)
 	if op.Rows() != 0 || op.Elapsed() != 0 || op.Touched() {
@@ -47,8 +47,9 @@ func TestTraceRenderActuals(t *testing.T) {
 	if scan == nil || idle == nil {
 		t.Fatal("timing on should allocate operators")
 	}
-	scan.Observe(true, 1500*time.Microsecond)
-	scan.Observe(false, 500*time.Microsecond) // exhausted Next()
+	scan.AddRows(1)
+	scan.Observe(1500 * time.Microsecond)
+	scan.Observe(500 * time.Microsecond) // exhausted stream
 
 	out := qt.Render(true)
 	if !strings.Contains(out, "scan docs as d: sequential (actual rows=1 time=2ms)") {
@@ -73,7 +74,7 @@ func TestTraceRenderActuals(t *testing.T) {
 func TestOpStatsAccumulates(t *testing.T) {
 	var op OpStats
 	op.AddRows(3)
-	op.Observe(true, time.Millisecond)
+	op.ObserveBatch(1, time.Millisecond)
 	start := time.Now().Add(-time.Millisecond)
 	op.AddSince(start)
 	if op.Rows() != 4 {

@@ -57,7 +57,7 @@ func bindAggs(e Expr, idx map[*FuncCall]int, binds *[]aggBinding) Expr {
 // the group table maps the encoded key to a slot index with zero-alloc
 // lookups (the key string is allocated only for a new group), and the
 // accumulators are flat per-aggregate columns indexed by slot. Slot
-// order is first appearance, matching the row engine's output order.
+// order is first appearance, so groups come out in input order.
 type hashAgg struct {
 	sel      *Select
 	in       *Schema

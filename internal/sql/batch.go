@@ -26,13 +26,14 @@ func (t *tracedChunkIter) NextChunk() (*chunk, error) {
 	if c != nil && err == nil {
 		t.op.ObserveBatch(int64(c.Rows()), time.Since(start))
 	} else {
-		t.op.Observe(false, time.Since(start))
+		t.op.Observe(time.Since(start))
 	}
 	return c, err
 }
 
-// tracedBatchIf mirrors tracedIf for batch operators: with tracing off
-// (op nil) the iterator passes through untouched.
+// tracedBatchIf wraps it with an actuals recorder when the plan line
+// carries an operator handle; with tracing off (op nil) the iterator
+// passes through untouched, so the normal query path pays nothing.
 func tracedBatchIf(op *obs.OpStats, it batchIter) batchIter {
 	if op == nil {
 		return it
@@ -40,31 +41,15 @@ func tracedBatchIf(op *obs.OpStats, it batchIter) batchIter {
 	return &tracedChunkIter{in: it, op: op}
 }
 
-// toBatch converts a bare access-path iterator to its native batched
-// form: sequential scans decode heap pages straight into chunk columns,
-// index RID lists fetch and decode in batches. Anything else adapts
-// row-by-row.
-func toBatch(es *execState, it rowIter) batchIter {
-	switch s := it.(type) {
-	case *seqScanIter:
-		return &chunkScanIter{es: es, t: s.t, schema: s.schema, batch: s.batch}
-	case *ridListIter:
-		return &chunkRIDIter{es: es, t: s.t, schema: s.schema, rids: s.rids, batch: s.batch}
-	default:
-		return newChunksFromRows(es, it, defaultChunkCap)
-	}
-}
-
 // chunkScanIter is the batched sequential scan: every NextChunk decodes
 // whole heap pages straight into the reused chunk's column vectors until
 // the batch target is reached (page granularity, so a dense page may
 // overshoot the target slightly). Per-row work is two appends per
-// column — no Tuple and no per-TEXT-field string allocation.
+// column — no Tuple and no per-TEXT-field string allocation. Page pins
+// are held only inside ScanPage, and a cancel fires between pages.
 type chunkScanIter struct {
-	es     *execState
-	t      *TableInfo
-	schema *Schema
-	batch  int
+	es *execState
+	p  *scanPlan
 
 	started bool
 	cur     disk.PageID
@@ -72,7 +57,7 @@ type chunkScanIter struct {
 	eof     bool
 }
 
-func (s *chunkScanIter) Schema() *Schema { return s.schema }
+func (s *chunkScanIter) Schema() *Schema { return s.p.schema }
 
 func (s *chunkScanIter) NextChunk() (*chunk, error) {
 	if s.eof {
@@ -80,8 +65,8 @@ func (s *chunkScanIter) NextChunk() (*chunk, error) {
 	}
 	if !s.started {
 		s.started = true
-		s.cur = s.t.Heap.FirstPage()
-		s.out = newChunk(s.schema, s.batch)
+		s.cur = s.p.t.Heap.FirstPage()
+		s.out = newChunk(s.p.schema, s.p.batch)
 	}
 	s.out.Reset()
 	for !s.out.Full() {
@@ -91,7 +76,7 @@ func (s *chunkScanIter) NextChunk() (*chunk, error) {
 		}
 		var serr error
 		records := 0
-		next, _, err := s.t.Heap.ScanPage(s.cur, func(_ heap.RID, rec []byte) bool {
+		next, _, err := s.p.t.Heap.ScanPage(s.cur, func(rid heap.RID, rec []byte) bool {
 			if cerr := s.es.poll(); cerr != nil {
 				serr = cerr
 				return false
@@ -99,6 +84,9 @@ func (s *chunkScanIter) NextChunk() (*chunk, error) {
 			if derr := s.out.AppendRecord(rec); derr != nil {
 				serr = derr
 				return false
+			}
+			if s.p.rids {
+				s.out.rids = append(s.out.rids, rid)
 			}
 			records++
 			return true
@@ -112,69 +100,99 @@ func (s *chunkScanIter) NextChunk() (*chunk, error) {
 		s.es.scannedPage(records)
 		s.cur = next
 	}
-	if s.out.n == 0 {
-		return nil, nil
-	}
-	return s.out, nil
+	return s.out.orNil(), nil
 }
 
-// chunkRIDIter is the batched form of an index scan's RID-list fetch.
+// chunkRIDIter is the batched index scan: the first NextChunk collects
+// the plan's RID list from the index, and every call then fetches and
+// decodes the next batch of records in index order.
 type chunkRIDIter struct {
-	es     *execState
-	t      *TableInfo
-	schema *Schema
-	rids   []heap.RID
-	batch  int
+	es *execState
+	p  *scanPlan
 
-	pos int
-	out *chunk
+	rids []heap.RID
+	pos  int
+	out  *chunk
 }
 
-func (r *chunkRIDIter) Schema() *Schema { return r.schema }
+func (r *chunkRIDIter) Schema() *Schema { return r.p.schema }
 
 func (r *chunkRIDIter) NextChunk() (*chunk, error) {
+	if r.out == nil {
+		rids, err := r.p.lookup(r.es)
+		if err != nil {
+			return nil, err
+		}
+		r.rids = rids
+		r.out = newChunk(r.p.schema, r.p.batch)
+	}
 	if r.pos >= len(r.rids) {
 		return nil, nil
-	}
-	if r.out == nil {
-		r.out = newChunk(r.schema, r.batch)
 	}
 	r.out.Reset()
 	for !r.out.Full() && r.pos < len(r.rids) {
 		if err := r.es.poll(); err != nil {
 			return nil, err
 		}
-		rec, err := r.t.Heap.Get(r.rids[r.pos])
+		rid := r.rids[r.pos]
+		rec, err := r.p.t.Heap.Get(rid)
 		if err != nil {
 			return nil, err
 		}
 		if err := r.out.AppendRecord(rec); err != nil {
 			return nil, err
 		}
+		if r.p.rids {
+			r.out.rids = append(r.out.rids, rid)
+		}
 		r.pos++
 	}
 	return r.out, nil
 }
 
+// chunkPred is a predicate compiled against one schema: evaluating it on
+// a chunk row materialises only the columns it reads into the scratch
+// row, so a two-column predicate over a wide join output stays cheap.
+type chunkPred struct {
+	expr Expr
+	cols []int // columns the predicate reads; all when unresolvable
+	all  bool
+}
+
+func newChunkPred(e Expr, schema *Schema) chunkPred {
+	cols, ok := predCols(e, schema)
+	return chunkPred{expr: e, cols: cols, all: !ok}
+}
+
+// holds evaluates the predicate on physical row r of c; row.Values is
+// the caller's scratch tuple (schema width).
+func (p *chunkPred) holds(c *chunk, r int, row Row) (bool, error) {
+	if p.all {
+		c.ReadRow(r, row.Values)
+	} else {
+		c.ReadCols(r, p.cols, row.Values)
+	}
+	v, err := Eval(p.expr, row)
+	if err != nil {
+		return false, err
+	}
+	return truthy(v), nil
+}
+
 // chunkFilterIter evaluates a predicate over each input chunk and
 // narrows its selection vector in place — surviving rows are listed, no
-// columns move. Only the columns the predicate touches are materialised
-// into the reused scratch row, so a two-column predicate over a wide
-// join output stays cheap.
+// columns move.
 type chunkFilterIter struct {
 	in      batchIter
-	pred    Expr
-	cols    []int // columns the predicate reads; allCols if unresolvable
-	allCols bool
+	pred    chunkPred
 	scratch value.Tuple
 	sel     []int
 }
 
 func newChunkFilter(in batchIter, pred Expr) *chunkFilterIter {
 	schema := in.Schema()
-	cols, ok := predCols(pred, schema)
 	return &chunkFilterIter{
-		in: in, pred: pred, cols: cols, allCols: !ok,
+		in: in, pred: newChunkPred(pred, schema),
 		scratch: make(value.Tuple, len(schema.Cols)),
 	}
 }
@@ -191,16 +209,11 @@ func (f *chunkFilterIter) NextChunk() (*chunk, error) {
 		f.sel = f.sel[:0]
 		for k, n := 0, c.Rows(); k < n; k++ {
 			r := c.RowIdx(k)
-			if f.allCols {
-				c.ReadRow(r, f.scratch)
-			} else {
-				c.ReadCols(r, f.cols, f.scratch)
-			}
-			v, err := Eval(f.pred, row)
+			ok, err := f.pred.holds(c, r, row)
 			if err != nil {
 				return nil, err
 			}
-			if truthy(v) {
+			if ok {
 				f.sel = append(f.sel, r)
 			}
 		}

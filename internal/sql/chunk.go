@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"xomatiq/internal/storage/heap"
 	"xomatiq/internal/value"
 )
 
@@ -114,7 +115,11 @@ type chunk struct {
 	// order) that survive upstream filters. Filters narrow it in place of
 	// copying the columns; downstream operators iterate Rows()/RowIdx().
 	sel []int
-	cap int // target rows per batch (a hint; a page may overshoot it)
+	// rids is the optional RID lane: the heap record id of each physical
+	// row, filled only by scans opened for DML (scanPlan.rids), which
+	// need to know which record a surviving row came from.
+	rids []heap.RID
+	cap  int // target rows per batch (a hint; a page may overshoot it)
 }
 
 func newChunk(schema *Schema, capHint int) *chunk {
@@ -147,10 +152,19 @@ func (c *chunk) Reset() {
 	}
 	c.n = 0
 	c.sel = nil
+	c.rids = c.rids[:0]
 }
 
 // Full reports whether the chunk reached its target row capacity.
 func (c *chunk) Full() bool { return c.n >= c.cap }
+
+// orNil returns the chunk, or nil when it holds no rows (end of stream).
+func (c *chunk) orNil() *chunk {
+	if c.n == 0 {
+		return nil
+	}
+	return c
+}
 
 // Rows counts the logical rows (selection applied).
 func (c *chunk) Rows() int {
@@ -200,17 +214,16 @@ func (c *chunk) AppendRecord(rec []byte) error {
 	return nil
 }
 
-// AppendTuple appends one materialised row (the rows→chunks adapter and
-// join outputs use it for right-side tuples).
-func (c *chunk) AppendTuple(t value.Tuple) {
-	for i := range c.cols {
-		if i < len(t) {
-			c.appendValue(i, t[i])
+// appendTuple appends t to columns [off, len(c.cols)) without advancing
+// the row count, padding columns t does not reach with NULLs.
+func (c *chunk) appendTuple(off int, t value.Tuple) {
+	for i := off; i < len(c.cols); i++ {
+		if i-off < len(t) {
+			c.appendValue(i, t[i-off])
 		} else {
 			c.cols[i].appendNull()
 		}
 	}
-	c.n++
 }
 
 // appendValue appends one value to column col without advancing the row
@@ -237,30 +250,37 @@ func (c *chunk) appendValue(col int, v value.Value) {
 	}
 }
 
-// appendJoined appends one output row of a join: the left side copied
-// column-wise from a chunk row (arena bytes move without re-encoding or
-// sealing), the right side from a build tuple.
-func (c *chunk) appendJoined(left *chunk, lrow int, right value.Tuple) {
-	for i := range left.cols {
-		src := &left.cols[i]
-		dst := &c.cols[i]
-		switch k := value.Kind(src.kinds[lrow]); k {
+// appendCols copies one row of src into the columns starting at off,
+// moving arena bytes without re-encoding or sealing; the row count is
+// not advanced.
+func (c *chunk) appendCols(off int, src *chunk, row int) {
+	for i := range src.cols {
+		s := &src.cols[i]
+		dst := &c.cols[off+i]
+		switch k := value.Kind(s.kinds[row]); k {
 		case value.KindNull:
 			dst.appendNull()
 		case value.KindInt, value.KindFloat, value.KindBool:
-			dst.appendNum(k, src.nums[lrow])
+			dst.appendNum(k, s.nums[row])
 		default:
-			dst.appendArena(k, src.payload(lrow))
+			dst.appendArena(k, s.payload(row))
 		}
 	}
-	off := len(left.cols)
-	for i := off; i < len(c.cols); i++ {
-		if i-off < len(right) {
-			c.appendValue(i, right[i-off])
-		} else {
-			c.cols[i].appendNull()
-		}
-	}
+}
+
+// appendJoined appends one output row of a join: the left side copied
+// column-wise from a chunk row, the right side from a build tuple.
+func (c *chunk) appendJoined(left *chunk, lrow int, right value.Tuple) {
+	c.appendCols(0, left, lrow)
+	c.appendTuple(len(left.cols), right)
+	c.n++
+}
+
+// appendPair appends one output row of a join whose both sides are chunk
+// rows (the index nested-loop join decodes its matches into a chunk).
+func (c *chunk) appendPair(left *chunk, lrow int, right *chunk, rrow int) {
+	c.appendCols(0, left, lrow)
+	c.appendCols(len(left.cols), right, rrow)
 	c.n++
 }
 
@@ -307,74 +327,4 @@ func (c *chunk) TupleAt(row int) value.Tuple {
 	t := make(value.Tuple, len(c.cols))
 	c.ReadRow(row, t)
 	return t
-}
-
-// rowsFromChunks adapts a batch stream to the row interface for the
-// operators that stay row-at-a-time (index nested-loop and cross joins,
-// DML helpers). Each row materialises via TupleAt, so downstream
-// retention is safe.
-type rowsFromChunks struct {
-	in  batchIter
-	cur *chunk
-	pos int
-}
-
-func (r *rowsFromChunks) Schema() *Schema { return r.in.Schema() }
-
-func (r *rowsFromChunks) Next() (value.Tuple, bool, error) {
-	for {
-		if r.cur != nil && r.pos < r.cur.Rows() {
-			t := r.cur.TupleAt(r.cur.RowIdx(r.pos))
-			r.pos++
-			return t, true, nil
-		}
-		c, err := r.in.NextChunk()
-		if err != nil {
-			return nil, false, err
-		}
-		if c == nil {
-			return nil, false, nil
-		}
-		r.cur, r.pos = c, 0
-	}
-}
-
-// chunksFromRows adapts a row stream back to batches (row-only join
-// outputs feed the batch pipeline through it).
-type chunksFromRows struct {
-	es  *execState
-	in  rowIter
-	out *chunk
-	eof bool
-}
-
-func newChunksFromRows(es *execState, in rowIter, capHint int) *chunksFromRows {
-	return &chunksFromRows{es: es, in: in, out: newChunk(in.Schema(), capHint)}
-}
-
-func (a *chunksFromRows) Schema() *Schema { return a.in.Schema() }
-
-func (a *chunksFromRows) NextChunk() (*chunk, error) {
-	if a.eof {
-		return nil, nil
-	}
-	a.out.Reset()
-	for !a.out.Full() {
-		if err := a.es.poll(); err != nil {
-			return nil, err
-		}
-		tup, ok, err := a.in.Next()
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			a.eof = true
-			break
-		}
-		a.out.AppendTuple(tup)
-	}
-	if a.out.n == 0 {
-		return nil, nil
-	}
-	return a.out, nil
 }

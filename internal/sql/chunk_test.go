@@ -31,6 +31,12 @@ func chunkTestTuple(i int) value.Tuple {
 	}
 }
 
+// appendTestTuple appends one materialised row to a chunk.
+func appendTestTuple(c *chunk, t value.Tuple) {
+	c.appendTuple(0, t)
+	c.n++
+}
+
 // TestChunkRecordRoundTrip decodes encoded heap records straight into
 // the column vectors and checks every cell, via both TupleAt and Value,
 // against the source tuples.
@@ -94,7 +100,7 @@ func TestChunkRecordPadding(t *testing.T) {
 func TestChunkSelectionVector(t *testing.T) {
 	c := newChunk(chunkTestSchema(), 32)
 	for i := 0; i < 20; i++ {
-		c.AppendTuple(chunkTestTuple(i))
+		appendTestTuple(c, chunkTestTuple(i))
 	}
 	sel := c.sel[:0]
 	for r := 0; r < c.n; r += 2 {
@@ -170,7 +176,7 @@ func TestChunkAppendJoined(t *testing.T) {
 	}}
 	left := newChunk(lsch, 8)
 	for i := 0; i < 4; i++ {
-		left.AppendTuple(value.Tuple{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("L%d", i))})
+		appendTestTuple(left, value.Tuple{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("L%d", i))})
 	}
 	out := newChunk(osch, 8)
 	out.appendJoined(left, 2, value.Tuple{value.NewInt(42), value.NewText("R")})
@@ -186,64 +192,106 @@ func TestChunkAppendJoined(t *testing.T) {
 	}
 }
 
-// partitionedJoinQueries drive the partitioned hash join over unindexed
-// columns; the 3000-row build side hash-partitions into more than one
-// partition, so workers>1 exercises the concurrent per-partition build.
-var partitionedJoinQueries = []string{
-	`SELECT a.k, b.v FROM big a, big b WHERE a.k = b.k AND a.grp = 'g2'`,
-	`SELECT a.k, b.k FROM big a, big b WHERE a.grp = b.grp AND a.k < 13 ORDER BY a.k, b.k LIMIT 40`,
-	`SELECT COUNT(*) FROM big a, big b WHERE a.k = b.k AND a.grp = b.grp`,
+// joinProbeQueries drive each batched join operator; op names the plan
+// line the query must take. The partitioned hash join cases join big on
+// unindexed columns (the 3000-row build side hash-partitions into more
+// than one partition, so workers>1 exercises the concurrent build). The
+// index nested-loop case probes kb's index with an ON residual over both
+// sides, and fans out to three matches per left row so a left row's
+// matches straddle output chunks. The cross join pairs the small cj with
+// a filtered big, whose rows the join materialises as its right side.
+var joinProbeQueries = []struct{ q, op string }{
+	{`SELECT a.k, b.v FROM big a, big b WHERE a.k = b.k AND a.grp = 'g2'`, "partitioned hash join"},
+	{`SELECT a.k, b.k FROM big a, big b WHERE a.grp = b.grp AND a.k < 13 ORDER BY a.k, b.k LIMIT 40`, "partitioned hash join"},
+	{`SELECT COUNT(*) FROM big a, big b WHERE a.k = b.k AND a.grp = b.grp`, "partitioned hash join"},
+	{`SELECT a.k, a.v, b.note FROM big a JOIN kb b ON a.k = b.k AND b.note <> a.grp WHERE a.grp = 'g2'`, "index nested loop"},
+	{`SELECT c.tag, a.k, a.v FROM cj c, big a WHERE a.grp LIKE 'g5' AND c.n * 200 < a.k`, "nested loop (cross)"},
+}
+
+// seedJoinSides adds the two side tables of joinProbeQueries: kb holds
+// three rows per big key under an index, cj seven unindexed rows.
+func seedJoinSides(t *testing.T, db *DB, n int) {
+	t.Helper()
+	mustExec(t, db, `CREATE TABLE kb (k INT, note TEXT)`)
+	mustExec(t, db, `CREATE INDEX idx_kb_k ON kb (k)`)
+	mustExec(t, db, `CREATE TABLE cj (n INT, tag TEXT)`)
+	var kb, cj []value.Tuple
+	for i := 0; i < n; i++ {
+		for _, note := range []string{"g2", fmt.Sprintf("note-%05d", i), fmt.Sprintf("alt-%05d", i)} {
+			kb = append(kb, value.Tuple{value.NewInt(int64(i)), value.NewText(note)})
+		}
+	}
+	for i := 0; i < 7; i++ {
+		cj = append(cj, value.Tuple{value.NewInt(int64(i)), value.NewText(fmt.Sprintf("tag-%d", i))})
+	}
+	if err := db.InsertBatch("kb", kb); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.InsertBatch("cj", cj); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// joinRunOpts are the execution settings every join probe must agree
+// across: serial and parallel, unbounded and under a small memory
+// budget (which forces the hash join to spill).
+var joinRunOpts = []ExecOpts{
+	{Workers: 1}, {Workers: 4}, {Workers: 1, MemBudget: 1 << 12}, {Workers: 4, MemBudget: 1 << 12},
 }
 
 // TestPartitionedJoinDeterminism is the join half of the byte-identity
-// bar: partitioned hash join results — including row order — must be
-// identical between QueryWorkers=1 (serial build) and QueryWorkers=4
-// (concurrent per-partition build + parallel driving scan).
+// bar: every batched join's results — including row order — must be
+// identical for any worker count and memory budget.
 func TestPartitionedJoinDeterminism(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
-	for _, q := range partitionedJoinQueries {
-		plan, err := db.Explain(q)
+	seedJoinSides(t, db, 3000)
+	for _, jq := range joinProbeQueries {
+		plan, err := db.Explain(jq.q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !strings.Contains(plan, "partitioned hash join") {
-			t.Fatalf("query does not use the partitioned hash join:\n%s", plan)
+		if !strings.Contains(plan, jq.op) {
+			t.Fatalf("query does not use the %s:\n%s", jq.op, plan)
 		}
-		db.opts.QueryWorkers = 1
-		serial := rowStrings(mustQuery(t, db, q))
-		db.opts.QueryWorkers = 4
-		parallel := rowStrings(mustQuery(t, db, q))
-		if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
-			t.Errorf("%s:\nserial   (%d rows) %v\nparallel (%d rows) %v",
-				q, len(serial), serial, len(parallel), parallel)
+		base := rowStrings(mustQueryOpts(t, db, jq.q, joinRunOpts[0]))
+		if len(base) == 0 {
+			t.Fatalf("%s: probe query returned no rows", jq.q)
+		}
+		for _, o := range joinRunOpts[1:] {
+			got := rowStrings(mustQueryOpts(t, db, jq.q, o))
+			if strings.Join(got, "\n") != strings.Join(base, "\n") {
+				t.Errorf("%s:\n%+v (%d rows) diverged from serial (%d rows)", jq.q, o, len(got), len(base))
+			}
 		}
 	}
 }
 
-// TestPartitionedJoinPoisonedReuse reruns a partitioned join probe with
+// TestPartitionedJoinPoisonedReuse reruns the join probes with
 // chunkPoison on: any operator that kept a reference into a recycled
-// chunk (scan, filter, build, or probe side) returns corrupt rows and
-// fails the comparison.
+// chunk (scan, filter, build, probe or index-fetch side) returns corrupt
+// rows and fails the comparison.
 func TestPartitionedJoinPoisonedReuse(t *testing.T) {
 	chunkPoison = true
 	defer func() { chunkPoison = false }()
 	db := openDB(t)
 	seedBig(t, db, 1500)
-	q := `SELECT a.k, b.v FROM big a, big b WHERE a.k = b.k AND a.grp = 'g4'`
-	db.opts.QueryWorkers = 1
-	serial := rowStrings(mustQuery(t, db, q))
-	db.opts.QueryWorkers = 4
-	parallel := rowStrings(mustQuery(t, db, q))
-	if len(serial) == 0 {
-		t.Fatal("probe query returned no rows")
-	}
-	for _, r := range append(append([]string{}, serial...), parallel...) {
-		if strings.Contains(r, "\xdb\xdb") {
-			t.Fatalf("poison bytes leaked into a result row: %q", r)
+	seedJoinSides(t, db, 1500)
+	for _, jq := range joinProbeQueries {
+		base := rowStrings(mustQueryOpts(t, db, jq.q, joinRunOpts[0]))
+		if len(base) == 0 {
+			t.Fatalf("%s: probe query returned no rows", jq.q)
 		}
-	}
-	if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
-		t.Errorf("poisoned rerun diverged:\nserial   %v\nparallel %v", serial, parallel)
+		for _, o := range joinRunOpts {
+			got := rowStrings(mustQueryOpts(t, db, jq.q, o))
+			for _, r := range got {
+				if strings.Contains(r, "\xdb\xdb") {
+					t.Fatalf("%s %+v: poison bytes leaked into a result row: %q", jq.q, o, r)
+				}
+			}
+			if strings.Join(got, "\n") != strings.Join(base, "\n") {
+				t.Errorf("%s: poisoned rerun %+v diverged from serial", jq.q, o)
+			}
+		}
 	}
 }

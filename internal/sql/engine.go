@@ -21,7 +21,8 @@ import (
 	"xomatiq/internal/value"
 )
 
-// Options tune a DB instance.
+// Options tune a DB instance. They are fixed at Open; a query overrides
+// QueryWorkers and QueryMemBudget for itself through ExecOpts.
 type Options struct {
 	// PoolPages is the buffer pool capacity in pages (default 4096,
 	// i.e. 32 MiB). A single transaction must not dirty more pages than
@@ -86,13 +87,19 @@ type DB struct {
 	cat  *catalog
 	catH *heap.Heap
 
-	opts      Options
+	opts      Options       // fixed at Open, so read without db.mu
 	reg       *obs.Registry // == opts.Metrics; the executor's handle
 	spillSeq  atomic.Uint64 // join-spill temp-file name sequence
 	nextTxn   uint64
 	inBatch   bool
 	batchTxn  uint64
 	recovered bool // true when Open replayed a WAL
+
+	// batchMut/batchLog are the pool mutation count and WAL size when
+	// the open batch began: a batch that moved neither wrote nothing, so
+	// it commits or rolls back without touching the log.
+	batchMut uint64
+	batchLog int64
 
 	// indexesDeferred suspends secondary-index maintenance during a bulk
 	// load: inserts touch only the heaps, queries fall back to sequential
@@ -113,11 +120,6 @@ type DB struct {
 	// generation stop using their frozen B-trees (rollback may have
 	// discarded never-flushed index pages their anchors reach).
 	rollbackGen atomic.Uint64
-	// queryWorkers/queryMemBudget mirror the Options fields for lock-free
-	// reads by the snapshot query path (SetQueryWorkers/SetMemBudget
-	// mutate Options under db.mu, which snapshot readers do not hold).
-	queryWorkers   atomic.Int64
-	queryMemBudget atomic.Int64
 }
 
 // Result reports the effect of a non-query statement.
@@ -220,8 +222,6 @@ func open(path string, opts Options) (*DB, error) {
 		db.closeFiles()
 		return nil, err
 	}
-	db.queryWorkers.Store(int64(opts.QueryWorkers))
-	db.queryMemBudget.Store(opts.QueryMemBudget)
 	db.publishLocked()
 	if mgr.IndexesStale() {
 		// The rebuild checkpoint inside loadCatalog made the fresh
@@ -526,13 +526,20 @@ func (db *DB) Begin() error {
 	db.nextTxn++
 	db.batchTxn = db.nextTxn
 	db.inBatch = true
+	db.batchMut, db.batchLog = db.pool.Mutations(), db.log.Size()
 	return nil
+}
+
+// batchEmptyLocked reports whether the open batch has written nothing.
+func (db *DB) batchEmptyLocked() bool {
+	return db.pool.Mutations() == db.batchMut && db.log.Size() == db.batchLog
 }
 
 // Commit makes the open batch durable. When the commit record cannot be
 // appended or synced the batch is rolled back instead: leaving its
 // uncommitted effects in dirty frames would let a later checkpoint make
-// them durable without a commit record.
+// them durable without a commit record. A batch that wrote nothing
+// appends no record and publishes no new epoch.
 func (db *DB) Commit() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -540,6 +547,9 @@ func (db *DB) Commit() error {
 		return errors.New("sql: no open batch")
 	}
 	db.inBatch = false
+	if db.batchEmptyLocked() {
+		return nil
+	}
 	err := db.log.Append(wal.Record{Txn: db.batchTxn, Op: wal.OpCommit})
 	if err == nil && db.opts.SyncOnCommit {
 		err = db.log.Sync()
@@ -571,7 +581,8 @@ func (db *DB) Commit() error {
 // frames, then replay the committed WAL suffix onto the checkpointed
 // file — exactly the path crash recovery takes — and rebuild the
 // catalog and in-memory indexes from the result. Pages allocated by the
-// aborted batch leak until the next Compact, like dropped tables.
+// aborted batch leak until the next Compact, like dropped tables. A
+// batch that wrote nothing has nothing to discard.
 func (db *DB) Rollback() error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
@@ -579,6 +590,9 @@ func (db *DB) Rollback() error {
 		return errors.New("sql: no open batch")
 	}
 	db.inBatch = false
+	if db.batchEmptyLocked() {
+		return nil
+	}
 	return db.rollbackLocked()
 }
 
@@ -863,32 +877,6 @@ func (db *DB) Table(name string) (cols []ColumnDef, rows int, err error) {
 		return nil, 0, err
 	}
 	return append([]ColumnDef(nil), t.Columns...), t.Heap.Count(), nil
-}
-
-// SetQueryWorkers changes the intra-query parallelism cap for queries
-// issued after it returns (benchmark harnesses toggle it to compare
-// serial and parallel plans on one warehouse).
-func (db *DB) SetQueryWorkers(n int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	db.opts.QueryWorkers = n
-	db.queryWorkers.Store(int64(n))
-}
-
-// SetMemBudget changes the per-query hash-join memory budget for
-// queries issued after it returns (0 = unlimited). Shrinking the budget
-// forces joins to spill; results stay byte-identical.
-func (db *DB) SetMemBudget(n int64) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if n < 0 {
-		n = 0
-	}
-	db.opts.QueryMemBudget = n
-	db.queryMemBudget.Store(n)
 }
 
 // Tables lists the table names in the catalog.
@@ -1366,40 +1354,30 @@ func (db *DB) removeTuple(txn uint64, t *TableInfo, rid heap.RID, tup value.Tupl
 }
 
 // matchingRows evaluates where against the rows of t (through an index
-// access path when one applies), calling fn with the rid and decoded
-// tuple of each match. fn must not mutate the heap; callers collect rids
-// first when they need to.
+// access path when one applies), calling fn with the rid and tuple of
+// each match. The scan fills the chunks' RID lane and where runs as a
+// chunk filter. fn must not mutate the heap; callers collect rids first
+// when they need to.
 func (db *DB) matchingRows(t *TableInfo, where Expr, fn func(rid heap.RID, tup value.Tuple) error) error {
 	// A minimal execState (no ctx, no workers) keeps the DML scan serial
 	// and untraced while still feeding the work counters.
-	it, _, err := db.accessPath(&execState{reg: db.reg}, t, t.Name, conjuncts(where))
-	if err != nil {
-		return err
+	es := &execState{reg: db.reg}
+	p := db.accessPath(es, t, t.Name, conjuncts(where))
+	p.rids = true
+	it := p.open(es)
+	if where != nil {
+		it = newChunkFilter(it, where)
 	}
-	src, ok := it.(ridSource)
-	if !ok {
-		return fmt.Errorf("sql: internal: access path is not rid-aware")
-	}
-	schema := it.Schema()
 	for {
-		tup, more, err := it.Next()
-		if err != nil {
+		c, err := it.NextChunk()
+		if err != nil || c == nil {
 			return err
 		}
-		if !more {
-			return nil
-		}
-		if where != nil {
-			v, err := Eval(where, Row{Schema: schema, Values: tup})
-			if err != nil {
+		for k, n := 0, c.Rows(); k < n; k++ {
+			r := c.RowIdx(k)
+			if err := fn(c.rids[r], c.TupleAt(r)); err != nil {
 				return err
 			}
-			if !truthy(v) {
-				continue
-			}
-		}
-		if err := fn(src.CurrentRID(), tup); err != nil {
-			return err
 		}
 	}
 }

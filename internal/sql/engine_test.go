@@ -1,6 +1,7 @@
 package sql
 
 import (
+	"context"
 	"fmt"
 	"path/filepath"
 	"strings"
@@ -33,6 +34,29 @@ func mustQuery(t *testing.T, db *DB, src string) *Rows {
 	rows, err := db.Query(src)
 	if err != nil {
 		t.Fatalf("Query(%q): %v", src, err)
+	}
+	return rows
+}
+
+// queryOpts runs a SELECT with per-query execution options (worker
+// count, memory budget, trace).
+func queryOpts(db *DB, src string, o ExecOpts) (*Rows, error) {
+	stmt, err := Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	sel, ok := stmt.(*Select)
+	if !ok {
+		return nil, fmt.Errorf("not a SELECT: %s", src)
+	}
+	return db.QueryStmtOptsContext(context.Background(), sel, o)
+}
+
+func mustQueryOpts(t *testing.T, db *DB, src string, o ExecOpts) *Rows {
+	t.Helper()
+	rows, err := queryOpts(db, src, o)
+	if err != nil {
+		t.Fatalf("Query(%q, %+v): %v", src, o, err)
 	}
 	return rows
 }

@@ -4,20 +4,12 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"time"
 
 	"xomatiq/internal/obs"
 	"xomatiq/internal/storage/disk"
 	"xomatiq/internal/storage/heap"
 	"xomatiq/internal/value"
 )
-
-// rowIter is the executor interface: a pull-based stream of tuples with a
-// fixed schema.
-type rowIter interface {
-	Schema() *Schema
-	Next() (value.Tuple, bool, error)
-}
 
 // cancelEvery is how many rows an executor loop processes between
 // context polls: small enough that a cancelled scan over a large table
@@ -70,10 +62,28 @@ func (es *execState) addSpillFile(path string, f disk.File) {
 	es.spillFiles = append(es.spillFiles, f)
 }
 
-// newExecState prepares the shared state for one query execution. The
-// caller must invoke finish (normally via defer) once the query is done.
-func newExecState(ctx context.Context, workers int) *execState {
-	return &execState{ctx: ctx, workers: workers, done: make(chan struct{})}
+// newExecState prepares the shared state for one query execution, with
+// the per-query ExecOpts overrides resolved against the DB-wide Options
+// (fixed at Open): a positive Workers or MemBudget wins, zero inherits.
+// runSelect and Explain both plan through it, so EXPLAIN shows the
+// decisions a run with the same options would make. The caller must
+// invoke finish (normally via defer) once the query is done.
+func (db *DB) newExecState(ctx context.Context, o ExecOpts) *execState {
+	es := &execState{
+		ctx: ctx, workers: db.opts.QueryWorkers, memBudget: db.opts.QueryMemBudget,
+		done: make(chan struct{}), reg: db.reg, qt: o.Trace,
+	}
+	if o.Workers > 0 {
+		es.workers = o.Workers
+	}
+	if o.MemBudget > 0 {
+		es.memBudget = o.MemBudget
+	}
+	if es.memBudget > 0 {
+		es.fs = db.opts.FS
+		es.spillBase = fmt.Sprintf("%s.spill.q%d", db.path, db.spillSeq.Add(1))
+	}
+	return es
 }
 
 // finish releases every goroutine still working for the query and
@@ -148,77 +158,23 @@ func (es *execState) hashLookup() {
 	}
 }
 
-// tracedIter wraps an operator's input to record rows emitted and
-// inclusive wall time (children included, as EXPLAIN ANALYZE reports it
-// everywhere else). Only ever allocated when a trace collects actuals.
-type tracedIter struct {
-	in rowIter
-	op *obs.OpStats
-}
-
-func (t *tracedIter) Schema() *Schema { return t.in.Schema() }
-
-func (t *tracedIter) Next() (value.Tuple, bool, error) {
-	start := time.Now()
-	tup, ok, err := t.in.Next()
-	t.op.Observe(ok && err == nil, time.Since(start))
-	return tup, ok, err
-}
-
-// tracedIf wraps it with an actuals recorder when the plan line carries
-// an operator handle; with tracing off (op nil) it returns it unchanged,
-// so the normal query path pays nothing.
-func tracedIf(op *obs.OpStats, it rowIter) rowIter {
-	if op == nil {
-		return it
-	}
-	return &tracedIter{in: it, op: op}
-}
-
-// runSelect plans and executes a SELECT under db.mu (read-held). qt, when
-// non-nil, collects plan lines and per-operator actuals (EXPLAIN ANALYZE
-// and slow-query traces); nil keeps the execution untraced. workers
-// overrides Options.QueryWorkers for this query when positive (per-session
-// overrides ride here); 0 inherits the DB-wide setting. memBudget
-// likewise overrides Options.QueryMemBudget when positive.
+// runSelect plans and executes a SELECT: under db.mu (read-held) when
+// snap is nil, against the pinned snapshot otherwise. o carries the
+// per-query overrides (workers, memory budget) and the trace, which,
+// when non-nil, collects plan lines and per-operator actuals (EXPLAIN
+// ANALYZE and slow-query traces).
 func (db *DB) runSelect(ctx context.Context, sel *Select, o ExecOpts, snap *Snap) (*Rows, error) {
 	if len(sel.From) == 0 {
 		return nil, fmt.Errorf("sql: SELECT requires FROM")
 	}
-	// Live-path defaults read db.opts under the db.mu the caller holds;
-	// snapshot-mode callers hold no db.mu and must not race the setters,
-	// so they read the atomic mirrors instead.
-	workers := o.Workers
-	if workers <= 0 {
-		if snap != nil {
-			workers = int(db.queryWorkers.Load())
-		} else {
-			workers = db.opts.QueryWorkers
-		}
-	}
-	memBudget := o.MemBudget
-	if memBudget <= 0 {
-		if snap != nil {
-			memBudget = db.queryMemBudget.Load()
-		} else {
-			memBudget = db.opts.QueryMemBudget
-		}
-	}
-	es := newExecState(ctx, workers)
-	es.reg = db.reg
-	es.qt = o.Trace
+	es := db.newExecState(ctx, o)
+	defer es.finish()
 	es.snap = snap
 	if snap != nil {
 		// One check per statement suffices: the readGate (held shared for
 		// the whole statement) keeps a rollback from starting mid-query.
 		es.snapIndexes = snap.indexesOK && db.rollbackGen.Load() == snap.rollbackGen
 	}
-	if memBudget > 0 {
-		es.memBudget = memBudget
-		es.fs = db.opts.FS
-		es.spillBase = fmt.Sprintf("%s.spill.q%d", db.path, db.spillSeq.Add(1))
-	}
-	defer es.finish()
 	it, err := db.buildFrom(es, sel)
 	if err != nil {
 		return nil, err
@@ -380,18 +336,13 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 	}
 
 	first := entries[0]
-	rit, scanOp, err := db.accessPath(es, first.t, first.ref.Binding(), conjs)
-	if err != nil {
-		return nil, err
-	}
+	plan := db.accessPath(es, first.t, first.ref.Binding(), conjs)
 	firstFilters := pushdown[strings.ToLower(first.ref.Binding())]
-	// The actuals wrapper goes on AFTER the parallelize decision:
-	// parallelizeScan type-asserts the bare seqScanIter, and when it wins,
-	// the serial scan operator never runs (its plan line renders without
-	// actuals) while the parallel operator carries its own handle. Both
-	// branches produce the batched pipeline: chunks flow from here on.
+	// When the parallel scan wins, the serial scan operator never runs
+	// (its plan line renders without actuals) while the parallel operator
+	// carries its own handle.
 	var it batchIter
-	if pit, pop, ok := parallelizeScan(es, rit, firstFilters); ok {
+	if pit, pop, ok := parallelizeScan(es, plan, firstFilters); ok {
 		it = tracedBatchIf(pop, pit)
 		for _, c := range firstFilters {
 			// Filters fold into the scan workers, so the lines carry no
@@ -399,7 +350,7 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 			es.plainf("  filter %s", ExprString(c))
 		}
 	} else {
-		it = tracedBatchIf(scanOp, toBatch(es, rit))
+		it = plan.open(es)
 		for _, c := range firstFilters {
 			fop := es.tracef("  filter %s", ExprString(c))
 			it = tracedBatchIf(fop, newChunkFilter(it, c))
@@ -426,12 +377,8 @@ func (db *DB) buildFrom(es *execState, sel *Select) (batchIter, error) {
 	leftEst := estScanRows(first.t, first.ref.Binding(), conjs)
 	for i, e := range entries[1:] {
 		jest := estJoinRows(entries, i+1, placed, conjs, leftEst)
-		it, err = db.buildJoin(es, it, e.t, e.ref, conjs,
-			pushdown[strings.ToLower(e.ref.Binding())], jest)
-		if err != nil {
-			return nil, err
-		}
-		it = applyReady(it)
+		it = applyReady(db.buildJoin(es, it, e.t, e.ref, conjs,
+			pushdown[strings.ToLower(e.ref.Binding())], jest))
 		placed[lowerBinding(e.ref)] = true
 		leftEst = jest
 	}
@@ -456,10 +403,11 @@ func (db *DB) Explain(src string) (string, error) {
 	}
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	// A plan-only execState (never executed, so no done channel) lets the
-	// trace report the parallel-scan decision the real run would make.
+	// Planning alone runs no operator: the trace collects only the plan
+	// lines, including the parallel-scan decision a real run would make.
 	qt := obs.NewQueryTrace(false)
-	es := &execState{workers: db.opts.QueryWorkers, qt: qt, memBudget: db.opts.QueryMemBudget}
+	es := db.newExecState(context.Background(), ExecOpts{Trace: qt})
+	defer es.finish()
 	it, err := db.buildFrom(es, sel)
 	if err != nil {
 		return "", err
@@ -641,28 +589,55 @@ func refersTo(c *ColumnRef, binding string, t *TableInfo) bool {
 	return t.ColIndex(c.Column) >= 0
 }
 
+// scanPlan is the access path chosen for one table binding: a
+// sequential heap scan (ix nil) or an index scan over the key prefix
+// combinations and optional trailing range. Choosing it touches no data;
+// open turns it into the batched iterator, and parallelizeScan may run a
+// sequential plan as the parallel scan instead.
+type scanPlan struct {
+	t       *TableInfo
+	binding string
+	schema  *Schema
+	ix      *IndexInfo      // nil: sequential scan
+	prefix  [][]value.Value // per leading column: equality or IN candidates
+	rng     *bound          // range on the column after the prefix, or nil
+	batch   int             // chunk capacity the cost model chose
+	est     float64         // rows the scan is expected to emit
+	op      *obs.OpStats    // the plan line's actuals handle
+	// rids asks the scan to fill the chunks' RID lane (DELETE/UPDATE).
+	rids bool
+}
+
+// open returns the plan's batched iterator, wrapped with the plan line's
+// actuals recorder when tracing.
+func (p *scanPlan) open(es *execState) batchIter {
+	if p.ix == nil {
+		return tracedBatchIf(p.op, &chunkScanIter{es: es, p: p})
+	}
+	return tracedBatchIf(p.op, &chunkRIDIter{es: es, p: p})
+}
+
 // accessPath chooses between a sequential scan and an index scan for one
-// table, based on the WHERE conjuncts. The full predicate is re-checked
-// by the surrounding filter, so index selection is purely an access-path
-// optimisation. The returned iterator is NOT wrapped with the actuals
-// recorder — callers apply tracedIf(op, it) themselves, after the
-// parallelize decision, because parallelizeScan must see the bare
-// seqScanIter and DML row collection needs the bare ridSource.
-func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Expr) (rowIter, *obs.OpStats, error) {
-	schema := t.Schema(binding)
-	deferred := db.indexesDeferred
-	if es.snap != nil {
-		// Snapshot mode never inspects live catalog state; the Snap
-		// recorded at publish whether its frozen B-trees are usable
-		// (snapIndexes also folds in rollback-generation staleness).
-		deferred = !es.snapIndexes
+// table, based on the WHERE conjuncts, and appends the scan's plan line.
+// The full predicate is re-checked by the surrounding filter, so index
+// selection is purely an access-path optimisation.
+func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Expr) *scanPlan {
+	p := &scanPlan{t: t, binding: binding, schema: t.Schema(binding), est: float64(t.Heap.Count())}
+	// Snapshot mode never inspects live catalog state (it holds no
+	// db.mu): the Snap recorded at publish whether its frozen B-trees
+	// are usable, and snapIndexes also folds in rollback-generation
+	// staleness.
+	deferred := !es.snapIndexes
+	if es.snap == nil {
+		deferred = db.indexesDeferred
 	}
 	if deferred {
 		// Bulk load in progress: the secondary indexes miss the freshly
 		// loaded rows until ResumeIndexes rebuilds them, so only the
 		// heaps are trustworthy.
-		op := es.tracef("scan %s as %s: sequential (index maintenance deferred)", t.Name, binding)
-		return &seqScanIter{es: es, t: t, schema: schema, batch: defaultChunkCap}, op, nil
+		p.batch = defaultChunkCap
+		p.op = es.tracef("scan %s as %s: sequential (index maintenance deferred)", t.Name, binding)
+		return p
 	}
 	bounds := map[int]*bound{} // column position -> constraints
 	boundFor := func(pos int) *bound {
@@ -768,35 +743,19 @@ func (db *DB) accessPath(es *execState, t *TableInfo, binding string, conjs []Ex
 	if best == nil {
 		// The batch annotation is part of the plan: the cost model picks
 		// the chunk size from the scan's row estimate.
-		batch := batchSizeFor(float64(rows))
-		op := es.tracef("scan %s as %s: sequential (batch=%d) (est rows=%d)", t.Name, binding, batch, rows)
-		return &seqScanIter{es: es, t: t, schema: schema, batch: batch}, op, nil
+		p.batch = batchSizeFor(p.est)
+		p.op = es.tracef("scan %s as %s: sequential (batch=%d) (est rows=%d)", t.Name, binding, p.batch, rows)
+		return p
 	}
 	how := "prefix lookup"
 	if bestRange != nil {
 		how = "prefix+range scan"
 	}
-	batch := batchSizeFor(estIdx)
-	op := es.tracef("scan %s as %s: index %s (%s, %d leading cols) (batch=%d) (est rows=%d)",
-		t.Name, binding, best.Name, how, len(bestPrefix), batch, estRowsInt(estIdx))
-	// Index scans collect their RID list eagerly at construction; when
-	// actuals are on, that work is attributed to the scan operator.
-	var start time.Time
-	if op != nil {
-		start = time.Now()
-	}
-	var it rowIter
-	var err error
-	if best.UsingHash {
-		it, err = newHashScanIter(es, t, schema, best, bestPrefix)
-	} else {
-		it, err = newBTreeScanIter(es, t, schema, best, bestPrefix, bestRange)
-	}
-	if rl, ok := it.(*ridListIter); ok {
-		rl.batch = batch
-	}
-	op.AddSince(start)
-	return it, op, err
+	p.ix, p.prefix, p.rng, p.est = best, bestPrefix, bestRange, estIdx
+	p.batch = batchSizeFor(estIdx)
+	p.op = es.tracef("scan %s as %s: index %s (%s, %d leading cols) (batch=%d) (est rows=%d)",
+		t.Name, binding, best.Name, how, len(bestPrefix), p.batch, estRowsInt(estIdx))
+	return p
 }
 
 // prefixCombos enumerates the cartesian product of per-column candidate
@@ -815,133 +774,6 @@ func prefixCombos(prefix [][]value.Value) [][]byte {
 	return out
 }
 
-// ridSource is a single-table iterator that can report the record ID of
-// the row it just returned; DELETE and UPDATE need it.
-type ridSource interface {
-	rowIter
-	CurrentRID() heap.RID
-}
-
-// seqScanIter scans a heap page at a time: each Next serves decoded rows
-// of the current page, and page pins are held only inside ScanPage, so a
-// full-table scan keeps O(page) rows in memory instead of the whole heap
-// and a context cancel fires between pages of a long scan.
-type seqScanIter struct {
-	es     *execState
-	t      *TableInfo
-	schema *Schema
-	// batch is the chunk capacity the cost model chose; toBatch carries
-	// it into the batched form of this scan.
-	batch   int
-	started bool
-	cur     disk.PageID // next page to load
-	rids    []heap.RID  // rows of the page most recently loaded
-	tups    []value.Tuple
-	pos     int
-}
-
-func (s *seqScanIter) Schema() *Schema { return s.schema }
-
-// CurrentRID reports the record id of the last row returned by Next.
-func (s *seqScanIter) CurrentRID() heap.RID { return s.rids[s.pos-1] }
-
-// loadPage decodes the rows of s.cur into the iterator's reused buffers
-// and advances s.cur along the chain.
-func (s *seqScanIter) loadPage() error {
-	s.rids, s.tups, s.pos = s.rids[:0], s.tups[:0], 0
-	var serr error
-	next, _, err := s.t.Heap.ScanPage(s.cur, func(rid heap.RID, rec []byte) bool {
-		if cerr := s.es.poll(); cerr != nil {
-			serr = cerr
-			return false
-		}
-		tup, derr := value.DecodeTuple(rec)
-		if derr != nil {
-			serr = derr
-			return false
-		}
-		s.rids = append(s.rids, rid)
-		s.tups = append(s.tups, tup)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	if serr != nil {
-		return serr
-	}
-	s.es.scannedPage(len(s.tups))
-	s.cur = next
-	return nil
-}
-
-func (s *seqScanIter) Next() (value.Tuple, bool, error) {
-	for {
-		if s.pos < len(s.tups) {
-			t := s.tups[s.pos]
-			s.pos++
-			return t, true, nil
-		}
-		if !s.started {
-			s.started = true
-			s.cur = s.t.Heap.FirstPage()
-		}
-		if s.cur == disk.InvalidPage {
-			return nil, false, nil
-		}
-		if err := s.loadPage(); err != nil {
-			return nil, false, err
-		}
-	}
-}
-
-// ridListIter yields the tuples behind a pre-computed RID list (index
-// scans resolve to this).
-type ridListIter struct {
-	es     *execState
-	t      *TableInfo
-	schema *Schema
-	rids   []heap.RID
-	batch  int // chunk capacity for the batched form (see toBatch)
-	pos    int
-}
-
-func (r *ridListIter) Schema() *Schema { return r.schema }
-
-// CurrentRID reports the record id of the last row returned by Next.
-func (r *ridListIter) CurrentRID() heap.RID { return r.rids[r.pos-1] }
-
-func (r *ridListIter) Next() (value.Tuple, bool, error) {
-	if err := r.es.poll(); err != nil {
-		return nil, false, err
-	}
-	if r.pos >= len(r.rids) {
-		return nil, false, nil
-	}
-	rec, err := r.t.Heap.Get(r.rids[r.pos])
-	if err != nil {
-		return nil, false, err
-	}
-	r.pos++
-	tup, err := value.DecodeTuple(rec)
-	if err != nil {
-		return nil, false, err
-	}
-	return tup, true, nil
-}
-
-func newHashScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo, prefix [][]value.Value) (rowIter, error) {
-	var rids []heap.RID
-	for _, key := range prefixCombos(prefix) {
-		es.hashLookup()
-		ix.Hash.Lookup(key, func(p []byte) bool {
-			rids = append(rids, ridFromBytes(p))
-			return true
-		})
-	}
-	return &ridListIter{es: es, t: t, schema: schema, rids: rids}, nil
-}
-
 // bound collects the constraints WHERE places on one column.
 type bound struct {
 	eq       *value.Value
@@ -951,10 +783,21 @@ type bound struct {
 	hiStrict bool
 }
 
-// newBTreeScanIter scans the index for keys matching the equality/IN
-// prefix combinations and optional trailing range, collecting RIDs.
-func newBTreeScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo, prefixVals [][]value.Value, rng *bound) (rowIter, error) {
+// lookup collects the RIDs of an index plan: one hash lookup or B-tree
+// scan per key prefix combination (with the trailing range when set), in
+// index order.
+func (p *scanPlan) lookup(es *execState) ([]heap.RID, error) {
 	var rids []heap.RID
+	if p.ix.UsingHash {
+		for _, key := range prefixCombos(p.prefix) {
+			es.hashLookup()
+			p.ix.Hash.Lookup(key, func(v []byte) bool {
+				rids = append(rids, ridFromBytes(v))
+				return true
+			})
+		}
+		return rids, nil
+	}
 	var cerr error
 	collect := func(key, val []byte) bool {
 		if cerr = es.poll(); cerr != nil {
@@ -963,12 +806,13 @@ func newBTreeScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo
 		rids = append(rids, ridFromBytes(val))
 		return true
 	}
-	for _, prefix := range prefixCombos(prefixVals) {
+	rng := p.rng
+	for _, prefix := range prefixCombos(p.prefix) {
 		var err error
 		es.btreeSearch()
 		switch {
 		case rng == nil:
-			err = ix.BTree.ScanPrefix(prefix, collect)
+			err = p.ix.BTree.ScanPrefix(prefix, collect)
 		default:
 			// Range on the column after the prefix. Strictness is
 			// re-checked by the filter, so the scan may be slightly loose
@@ -984,7 +828,7 @@ func newBTreeScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo
 				// the bound past any suffix bytes.
 				to = append(to, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
 			}
-			err = ix.BTree.ScanRange(from, to, func(key, val []byte) bool {
+			err = p.ix.BTree.ScanRange(from, to, func(key, val []byte) bool {
 				if len(prefix) > 0 && !strings.HasPrefix(string(key), string(prefix)) {
 					return false
 				}
@@ -998,29 +842,5 @@ func newBTreeScanIter(es *execState, t *TableInfo, schema *Schema, ix *IndexInfo
 			return nil, cerr
 		}
 	}
-	return &ridListIter{es: es, t: t, schema: schema, rids: rids}, nil
-}
-
-// filterIter drops rows for which pred is not true.
-type filterIter struct {
-	in   rowIter
-	pred Expr
-}
-
-func (f *filterIter) Schema() *Schema { return f.in.Schema() }
-
-func (f *filterIter) Next() (value.Tuple, bool, error) {
-	for {
-		tup, ok, err := f.in.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		v, err := Eval(f.pred, Row{Schema: f.in.Schema(), Values: tup})
-		if err != nil {
-			return nil, false, err
-		}
-		if truthy(v) {
-			return tup, true, nil
-		}
-	}
+	return rids, nil
 }

@@ -2,8 +2,11 @@ package sql
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"testing"
+
+	"xomatiq/internal/value"
 )
 
 // seedNumbers creates a table with a secondary index and n rows.
@@ -131,6 +134,96 @@ func TestDeleteUpdateViaIndexPath(t *testing.T) {
 	r = mustQuery(t, db, `SELECT COUNT(*) FROM nums WHERE k IN (10, 20, 30, 40)`)
 	if rowStrings(r)[0] != "1" {
 		t.Errorf("index stale = %v", rowStrings(r))
+	}
+}
+
+// TestDMLAcrossChunks runs DELETE and UPDATE whose matches span several
+// chunks and heap pages, through an index path and a sequential path:
+// each match is identified by the scan's RID lane, so the surviving rows
+// must be exactly the model's and the indexes must agree with the heap.
+func TestDMLAcrossChunks(t *testing.T) {
+	db := openDB(t)
+	mustExec(t, db, `CREATE TABLE wide (k INT, grp TEXT, v TEXT)`)
+	mustExec(t, db, `CREATE INDEX idx_wide_k ON wide (k)`)
+	const n = 1200
+	type row struct {
+		k      int
+		grp, v string
+	}
+	model := map[int]row{} // by original k
+	var tups []value.Tuple
+	for i := 0; i < n; i++ {
+		r := row{i, fmt.Sprintf("g%d", i%3), fmt.Sprintf("payload-%04d-%s", i, strings.Repeat("p", 48))}
+		model[i] = r
+		tups = append(tups, value.Tuple{value.NewInt(int64(r.k)), value.NewText(r.grp), value.NewText(r.v)})
+	}
+	if err := db.InsertBatch("wide", tups); err != nil {
+		t.Fatal(err)
+	}
+	if pages := db.cat.tables["wide"].Heap.NumPages(); pages < 4 {
+		t.Fatalf("seed spans %d heap pages, want several", pages)
+	}
+	steps := []struct {
+		where, how string // the DML's WHERE and the access path it must take
+		stmt       string
+		apply      func(r row) (row, bool) // new row, keep
+		matches    int
+	}{
+		{`k >= 100 AND k < 700`, "index idx_wide_k",
+			`UPDATE wide SET k = k + 10000, v = 'moved' WHERE k >= 100 AND k < 700`,
+			func(r row) (row, bool) {
+				if r.k >= 100 && r.k < 700 {
+					r.k += 10000
+					r.v = "moved"
+				}
+				return r, true
+			}, 600},
+		{`k >= 10300 AND k < 10650`, "index idx_wide_k",
+			`DELETE FROM wide WHERE k >= 10300 AND k < 10650`,
+			func(r row) (row, bool) { return r, !(r.k >= 10300 && r.k < 10650) }, 350},
+		{`grp = 'g1'`, "sequential",
+			`UPDATE wide SET v = 'seq' WHERE grp = 'g1'`,
+			func(r row) (row, bool) {
+				if r.grp == "g1" {
+					r.v = "seq"
+				}
+				return r, true
+			}, 283},
+		{`grp <> 'g1'`, "sequential",
+			`DELETE FROM wide WHERE grp <> 'g1'`,
+			func(r row) (row, bool) { return r, r.grp == "g1" }, 567},
+	}
+	for _, st := range steps {
+		plan, err := db.Explain(`SELECT k FROM wide WHERE ` + st.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, st.how) {
+			t.Fatalf("%s: access path is not %q:\n%s", st.where, st.how, plan)
+		}
+		if res := mustExec(t, db, st.stmt); res.RowsAffected != st.matches {
+			t.Fatalf("%s: affected %d rows, want %d", st.stmt, res.RowsAffected, st.matches)
+		}
+		for id, r := range model {
+			if nr, keep := st.apply(r); keep {
+				model[id] = nr
+			} else {
+				delete(model, id)
+			}
+		}
+		var want []string
+		for _, r := range model {
+			want = append(want, fmt.Sprintf("%d|%s|%s", r.k, r.grp, r.v))
+		}
+		sort.Strings(want)
+		got := rowStrings(mustQuery(t, db, `SELECT k, grp, v FROM wide`))
+		sort.Strings(got)
+		if strings.Join(got, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("after %s: %d surviving rows differ from the model's %d", st.stmt, len(got), len(want))
+		}
+		if err := db.CheckConsistency(); err != nil {
+			t.Fatalf("after %s: %v", st.stmt, err)
+		}
 	}
 }
 

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -23,7 +24,7 @@ type equiPair struct {
 // conjuncts are re-checked by the outer filter.
 // est is the cost model's output-cardinality estimate for this join,
 // rendered on the plan line (EXPLAIN ANALYZE pairs it with actuals).
-func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, ref TableRef, whereConjs []Expr, rightFilter []Expr, est float64) (batchIter, error) {
+func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, ref TableRef, whereConjs []Expr, rightFilter []Expr, est float64) batchIter {
 	binding := ref.Binding()
 	rightSchema := rt.Schema(binding)
 	outSchema := left.Schema().Concat(rightSchema)
@@ -54,53 +55,40 @@ func (db *DB) buildJoin(es *execState, left batchIter, rt *TableInfo, ref TableR
 	// caller's goroutine), so its scan/parallel-scan trace lines appear
 	// only when the build actually executes — plain EXPLAIN never reaches
 	// it.
-	rightSrc := func() (batchIter, error) {
-		it, sop, err := db.accessPath(es, rt, binding, whereConjs)
-		if err != nil {
-			return nil, err
+	rightSrc := func() batchIter {
+		p := db.accessPath(es, rt, binding, whereConjs)
+		if pit, pop, ok := parallelizeScan(es, p, rightFilter); ok {
+			return tracedBatchIf(pop, pit)
 		}
-		if pit, pop, ok := parallelizeScan(es, it, rightFilter); ok {
-			return tracedBatchIf(pop, pit), nil
-		}
-		bit := tracedBatchIf(sop, toBatch(es, it))
+		it := p.open(es)
 		for _, f := range rightFilter {
-			bit = newChunkFilter(bit, f)
+			it = newChunkFilter(it, f)
 		}
-		return bit, nil
+		return it
 	}
-	if len(pairs) > 0 {
-		if ix := pickJoinIndex(rt, pairs); ix != nil {
-			// Index nested-loop probes one left row at a time; the left
-			// batch stream adapts to rows at the join boundary.
-			op := es.tracef("join %s as %s: index nested loop via %s (%d keys) (est rows=%d)",
-				rt.Name, binding, ix.Name, len(pairs), estRowsInt(est))
-			lrows := &rowsFromChunks{in: left}
-			join := tracedIf(op, newIndexJoinIter(es, lrows, rt, rightSchema, outSchema, ix, pairs, rightFilter))
-			for _, r := range residual {
-				join = &filterIter{in: join, pred: r}
-			}
-			return newChunksFromRows(es, join, defaultChunkCap), nil
-		}
+	var join batchIter
+	switch ix := pickJoinIndex(rt, pairs); {
+	case ix != nil:
+		op := es.tracef("join %s as %s: index nested loop via %s (%d keys) (est rows=%d)",
+			rt.Name, binding, ix.Name, len(pairs), estRowsInt(est))
+		join = tracedBatchIf(op, newIndexLoopJoin(es, left, rt, rightSchema, outSchema, ix, pairs, rightFilter))
+	case len(pairs) > 0:
 		// The partition count is a plan decision: deterministic in the
 		// statistics-backed build-side estimate (and the memory budget,
 		// which raises it so one partition fits the budget).
 		parts := partitionsFor(estScanRows(rt, binding, whereConjs), es.memBudget, len(rightSchema.Cols))
 		op := es.tracef("join %s as %s: partitioned hash join (%d keys, partitions=%d) (est rows=%d)",
 			rt.Name, binding, len(pairs), parts, estRowsInt(est))
-		var join batchIter = tracedBatchIf(op, newPartHashJoin(es, left, outSchema, pairs, rightSrc, parts, op))
-		for _, r := range residual {
-			join = newChunkFilter(join, r)
-		}
-		return join, nil
+		join = tracedBatchIf(op, newPartHashJoin(es, left, outSchema, pairs, rightSrc, parts, op))
+	default:
+		op := es.tracef("join %s as %s: nested loop (cross) (est rows=%d)",
+			rt.Name, binding, estRowsInt(est))
+		join = tracedBatchIf(op, &crossJoin{es: es, left: leftCursor{in: left}, outSchema: outSchema, rightSrc: rightSrc})
 	}
-	op := es.tracef("join %s as %s: nested loop (cross) (est rows=%d)",
-		rt.Name, binding, estRowsInt(est))
-	lrows := &rowsFromChunks{in: left}
-	join := tracedIf(op, newNestedLoopIter(es, lrows, outSchema, rightSrc))
 	for _, r := range residual {
-		join = &filterIter{in: join, pred: r}
+		join = newChunkFilter(join, r)
 	}
-	return newChunksFromRows(es, join, defaultChunkCap), nil
+	return join
 }
 
 // asEquiPair matches expr as leftExpr = right.col (either orientation)
@@ -180,25 +168,6 @@ func pickJoinIndex(rt *TableInfo, pairs []equiPair) *IndexInfo {
 	return nil
 }
 
-// joinKey evaluates the pair left expressions against a left row and
-// encodes them in the order of cols (right column positions).
-func joinKey(pairs []equiPair, cols []int, schema *Schema, tup value.Tuple) ([]byte, error) {
-	var key []byte
-	for _, pos := range cols {
-		for _, p := range pairs {
-			if p.rightCol == pos {
-				v, err := Eval(p.left, Row{Schema: schema, Values: tup})
-				if err != nil {
-					return nil, err
-				}
-				key = v.EncodeKey(key)
-				break
-			}
-		}
-	}
-	return key, nil
-}
-
 // pairCols extracts the distinct right column positions of the pairs, in
 // first-appearance order.
 func pairCols(pairs []equiPair) []int {
@@ -247,32 +216,105 @@ type joinPartition struct {
 	w       *spillWriter
 }
 
-// keySrc is the precompiled probe-key source for one join column: a left
-// chunk column (the fast path, read straight from the column vector), a
-// constant literal, or a general expression evaluated over the scratch
-// row.
+// keySrc resolves one join-key value from a left chunk row: a column of
+// the chunk, read straight from its vector, or a constant. asEquiPair
+// admits no other left-hand shapes.
 type keySrc struct {
-	colIdx int // left column position; -1 when lit/expr applies
-	lit    value.Value
-	expr   Expr
+	col int // left column position; -1 for a literal
+	lit value.Value
+}
+
+func (s keySrc) value(c *chunk, r int) value.Value {
+	if s.col >= 0 {
+		return c.Value(s.col, r)
+	}
+	return s.lit
+}
+
+// keySrcFor compiles the left side of an equality pair against the left
+// schema.
+func keySrcFor(p equiPair, left *Schema) keySrc {
+	if c, ok := p.left.(*ColumnRef); ok {
+		if i, err := left.Find(c); err == nil {
+			return keySrc{col: i}
+		}
+	}
+	return keySrc{col: -1, lit: p.left.(*Literal).Val}
+}
+
+// keySrcsFor compiles the probe key of a join: for each right column in
+// cols, the first pair on that column supplies the value.
+func keySrcsFor(pairs []equiPair, cols []int, left *Schema) []keySrc {
+	var srcs []keySrc
+	for _, pos := range cols {
+		for _, p := range pairs {
+			if p.rightCol == pos {
+				srcs = append(srcs, keySrcFor(p, left))
+				break
+			}
+		}
+	}
+	return srcs
+}
+
+// encodeKey appends the encoded probe key of left row r to buf.
+func encodeKey(buf []byte, srcs []keySrc, c *chunk, r int) []byte {
+	for _, s := range srcs {
+		buf = s.value(c, r).EncodeKey(buf)
+	}
+	return buf
+}
+
+// leftCursor steps a join through the logical rows of its left input, a
+// chunk at a time. The current chunk stays valid until next pulls the
+// following one, so a join may keep copying from row while it fills
+// several output chunks. Once the input is exhausted the cursor drops
+// its chunk: the producer may already have recycled it.
+type leftCursor struct {
+	in  batchIter
+	c   *chunk
+	pos int // logical position of the row after the current one
+	row int // physical index of the current row in c
+	eof bool
+}
+
+// next advances to the following left row; fresh reports that the row
+// opened a new chunk, ok is false at end of stream.
+func (l *leftCursor) next() (ok, fresh bool, err error) {
+	for l.c == nil || l.pos >= l.c.Rows() {
+		if l.eof {
+			return false, false, nil
+		}
+		c, err := l.in.NextChunk()
+		if err != nil {
+			return false, false, err
+		}
+		if c == nil {
+			l.c, l.eof = nil, true
+			return false, false, nil
+		}
+		l.c, l.pos, fresh = c, 0, true
+	}
+	l.row = l.c.RowIdx(l.pos)
+	l.pos++
+	return true, fresh, nil
 }
 
 // partHashJoinIter is the batched partitioned hash join. The build side
 // hash-partitions the right source by join key into parts partitions
 // (rows stay in right-source order inside each partition, so per-key
-// match lists — and therefore results — are byte-identical to the
-// row-at-a-time join); the per-partition hash tables then build
+// match lists — and therefore results — are byte-identical to a single
+// hash table's); the per-partition hash tables then build
 // concurrently under the query's worker budget. The probe side consumes
 // left chunks, computes each row's key against the column vectors
 // directly, and emits joined rows into a reused output chunk.
 type partHashJoinIter struct {
 	es        *execState
-	left      batchIter
+	left      leftCursor
 	outSchema *Schema
-	pairs     []equiPair
 	cols      []int
 	srcs      []keySrc
-	rightSrc  func() (batchIter, error)
+	rightSrc  func() batchIter
 	parts     int
 	op        *obs.OpStats // the join's trace line (spill annotation)
 
@@ -284,13 +326,8 @@ type partHashJoinIter struct {
 
 	out     *chunk
 	keyBuf  []byte
-	scratch value.Tuple
-	cur     *chunk // left chunk being probed
-	curPos  int    // next logical row of cur
-	curRow  int    // physical row of the matches being expanded
-	matches []value.Tuple
+	matches []value.Tuple // build rows matching the current left row
 	mpos    int
-	eof     bool
 
 	// Spilled-probe state, valid while anySpilled: per-left-chunk match
 	// lists indexed by logical row, and the per-partition probe lists
@@ -307,39 +344,16 @@ type spillProbe struct {
 	key string
 }
 
-func newPartHashJoin(es *execState, left batchIter, outSchema *Schema, pairs []equiPair, rightSrc func() (batchIter, error), parts int, op *obs.OpStats) *partHashJoinIter {
+func newPartHashJoin(es *execState, left batchIter, outSchema *Schema, pairs []equiPair, rightSrc func() batchIter, parts int, op *obs.OpStats) *partHashJoinIter {
 	if parts < 1 {
 		parts = 1
 	}
-	h := &partHashJoinIter{
-		es: es, left: left, outSchema: outSchema,
-		pairs: pairs, cols: pairCols(pairs), rightSrc: rightSrc, parts: parts, op: op,
+	cols := pairCols(pairs)
+	return &partHashJoinIter{
+		es: es, left: leftCursor{in: left}, outSchema: outSchema,
+		cols: cols, srcs: keySrcsFor(pairs, cols, left.Schema()),
+		rightSrc: rightSrc, parts: parts, op: op,
 	}
-	leftSchema := left.Schema()
-	for _, pos := range h.cols {
-		for _, p := range h.pairs {
-			if p.rightCol != pos {
-				continue
-			}
-			s := keySrc{colIdx: -1}
-			switch e := p.left.(type) {
-			case *ColumnRef:
-				if i, err := leftSchema.Find(e); err == nil {
-					s.colIdx = i
-				} else {
-					s.expr = p.left
-				}
-			case *Literal:
-				s.lit = e.Val
-			default:
-				s.expr = p.left
-			}
-			h.srcs = append(h.srcs, s)
-			break
-		}
-	}
-	h.scratch = make(value.Tuple, len(leftSchema.Cols))
-	return h
 }
 
 func (h *partHashJoinIter) Schema() *Schema { return h.outSchema }
@@ -355,10 +369,7 @@ func (h *partHashJoinIter) Schema() *Schema { return h.outSchema }
 func (h *partHashJoinIter) build() error {
 	h.built = true
 	h.partitions = make([]joinPartition, h.parts)
-	src, err := h.rightSrc()
-	if err != nil {
-		return err
-	}
+	src := h.rightSrc()
 	budget := int64(0)
 	rowCost := int64(0)
 	if h.es != nil && h.es.memBudget > 0 {
@@ -524,10 +535,8 @@ func (h *partHashJoinIter) probeChunkSpilled(c *chunk) error {
 		if err := h.es.poll(); err != nil {
 			return err
 		}
-		key, err := h.probeKey(c.RowIdx(k))
-		if err != nil {
-			return err
-		}
+		h.keyBuf = encodeKey(h.keyBuf[:0], h.srcs, c, c.RowIdx(k))
+		key := h.keyBuf
 		pi := int(fnvHash(key) % uint64(h.parts))
 		p := &h.partitions[pi]
 		if !p.spilled {
@@ -558,40 +567,7 @@ func (h *partHashJoinIter) probeChunkSpilled(c *chunk) error {
 	return nil
 }
 
-// probeKey computes the join key of one left chunk row into the reused
-// key buffer. Column sources read the chunk vectors directly; only
-// general expressions fall back to a scratch-row Eval.
-func (h *partHashJoinIter) probeKey(r int) ([]byte, error) {
-	h.keyBuf = h.keyBuf[:0]
-	loaded := false
-	for i := range h.srcs {
-		s := &h.srcs[i]
-		var v value.Value
-		switch {
-		case s.colIdx >= 0:
-			v = h.cur.Value(s.colIdx, r)
-		case s.expr != nil:
-			if !loaded {
-				h.cur.ReadRow(r, h.scratch)
-				loaded = true
-			}
-			var err error
-			v, err = Eval(s.expr, Row{Schema: h.left.Schema(), Values: h.scratch})
-			if err != nil {
-				return nil, err
-			}
-		default:
-			v = s.lit
-		}
-		h.keyBuf = v.EncodeKey(h.keyBuf)
-	}
-	return h.keyBuf, nil
-}
-
 func (h *partHashJoinIter) NextChunk() (*chunk, error) {
-	if h.eof {
-		return nil, nil
-	}
 	if !h.built {
 		if err := h.build(); err != nil {
 			return nil, err
@@ -608,203 +584,206 @@ func (h *partHashJoinIter) NextChunk() (*chunk, error) {
 			if h.out.Full() {
 				return h.out, nil
 			}
-			h.out.appendJoined(h.cur, h.curRow, h.matches[h.mpos])
+			h.out.appendJoined(h.left.c, h.left.row, h.matches[h.mpos])
 			h.mpos++
 		}
-		if h.cur == nil || h.curPos >= h.cur.Rows() {
-			c, err := h.left.NextChunk()
-			if err != nil {
+		ok, fresh, err := h.left.next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return h.out.orNil(), nil
+		}
+		if fresh && h.anySpilled {
+			if err := h.probeChunkSpilled(h.left.c); err != nil {
 				return nil, err
 			}
-			if c == nil {
-				h.eof = true
-				if h.out.n > 0 {
-					return h.out, nil
-				}
-				return nil, nil
-			}
-			h.cur, h.curPos = c, 0
-			if h.anySpilled {
-				if err := h.probeChunkSpilled(c); err != nil {
-					return nil, err
-				}
-			}
-			continue
 		}
 		if err := h.es.poll(); err != nil {
 			return nil, err
 		}
-		r := h.cur.RowIdx(h.curPos)
+		h.mpos = 0
 		if h.anySpilled {
 			// Match lists were resolved for the whole chunk up front.
-			h.curRow = r
-			h.matches = h.rowMatches[h.curPos]
-			h.curPos++
-			h.mpos = 0
+			h.matches = h.rowMatches[h.left.pos-1]
 			continue
 		}
-		h.curPos++
-		key, err := h.probeKey(r)
+		h.keyBuf = encodeKey(h.keyBuf[:0], h.srcs, h.left.c, h.left.row)
+		part := &h.partitions[int(fnvHash(h.keyBuf)%uint64(h.parts))]
+		h.matches = part.table[string(h.keyBuf)]
+	}
+}
+
+// indexLoopJoin is the batched index nested-loop join. For each row of a
+// left chunk it encodes the probe key straight from the column vectors,
+// looks it up once in the right table's index, and decodes the matching
+// heap records, in index order, into a reused right chunk. Pushed-down
+// right filters and the equality pairs the index does not cover narrow
+// that chunk's selection; the survivors are appended after the left row
+// to the output chunk. One lookup per left row, the same heap fetches
+// and the same match order keep results byte-identical to a row-at-a-
+// time probe.
+type indexLoopJoin struct {
+	es        *execState
+	left      leftCursor
+	rt        *TableInfo
+	ix        *IndexInfo
+	outSchema *Schema
+	keys      []keySrc    // probe key, in index column order
+	checks    []pairCheck // pairs on columns the index does not cover
+	filters   []chunkPred // pushed-down right-binding conjuncts
+
+	right   *chunk // matches of the current left row
+	mpos    int    // next logical row of right to emit
+	out     *chunk
+	keyBuf  []byte
+	rids    []heap.RID
+	sel     []int
+	scratch Row
+}
+
+// pairCheck is one join equality verified per match: the left value must
+// be non-null and equal to the right row's column.
+type pairCheck struct {
+	src      keySrc
+	rightCol int
+}
+
+func newIndexLoopJoin(es *execState, left batchIter, rt *TableInfo, rightSchema, outSchema *Schema, ix *IndexInfo, pairs []equiPair, rightFilter []Expr) *indexLoopJoin {
+	j := &indexLoopJoin{
+		es: es, left: leftCursor{in: left}, rt: rt, ix: ix, outSchema: outSchema,
+		keys:    keySrcsFor(pairs, ix.ColPos, left.Schema()),
+		right:   newChunk(rightSchema, defaultChunkCap),
+		out:     newChunk(outSchema, defaultChunkCap),
+		sel:     make([]int, 0, defaultChunkCap),
+		scratch: Row{Schema: rightSchema, Values: make(value.Tuple, len(rightSchema.Cols))},
+	}
+	for _, p := range pairs {
+		if !slices.Contains(ix.ColPos, p.rightCol) {
+			j.checks = append(j.checks, pairCheck{src: keySrcFor(p, left.Schema()), rightCol: p.rightCol})
+		}
+	}
+	for _, f := range rightFilter {
+		j.filters = append(j.filters, newChunkPred(f, rightSchema))
+	}
+	return j
+}
+
+func (j *indexLoopJoin) Schema() *Schema { return j.outSchema }
+
+func (j *indexLoopJoin) NextChunk() (*chunk, error) {
+	j.out.Reset()
+	for {
+		for j.mpos < j.right.Rows() {
+			if j.out.Full() {
+				return j.out, nil
+			}
+			j.out.appendPair(j.left.c, j.left.row, j.right, j.right.RowIdx(j.mpos))
+			j.mpos++
+		}
+		ok, _, err := j.left.next()
 		if err != nil {
 			return nil, err
 		}
-		part := &h.partitions[int(fnvHash(key)%uint64(h.parts))]
-		h.curRow = r
-		h.matches = part.table[string(key)]
-		h.mpos = 0
+		if !ok {
+			return j.out.orNil(), nil
+		}
+		if err := j.probe(); err != nil {
+			return nil, err
+		}
+		j.mpos = 0
 	}
 }
 
-// indexJoinIter probes a right-table index for each left row.
-type indexJoinIter struct {
-	es          *execState
-	left        rowIter
-	rt          *TableInfo
-	rightSchema *Schema
-	outSchema   *Schema
-	ix          *IndexInfo
-	pairs       []equiPair
-	rightFilter []Expr
-
-	current value.Tuple
-	matches []value.Tuple
-	mpos    int
-}
-
-func newIndexJoinIter(es *execState, left rowIter, rt *TableInfo, rightSchema, outSchema *Schema, ix *IndexInfo, pairs []equiPair, rightFilter []Expr) rowIter {
-	return &indexJoinIter{
-		es: es, left: left, rt: rt, rightSchema: rightSchema, outSchema: outSchema,
-		ix: ix, pairs: pairs, rightFilter: rightFilter,
-	}
-}
-
-func (j *indexJoinIter) Schema() *Schema { return j.outSchema }
-
-func (j *indexJoinIter) probe(ltup value.Tuple) error {
+// probe fills the right chunk with the matches of the current left row.
+func (j *indexLoopJoin) probe() error {
 	if err := j.es.poll(); err != nil {
 		return err
 	}
-	key, err := joinKey(j.pairs, j.ix.ColPos, j.left.Schema(), ltup)
-	if err != nil {
-		return err
+	j.keyBuf = encodeKey(j.keyBuf[:0], j.keys, j.left.c, j.left.row)
+	j.rids = j.rids[:0]
+	collect := func(v []byte) bool {
+		j.rids = append(j.rids, ridFromBytes(v))
+		return true
 	}
-	j.matches = j.matches[:0]
-	var rids []heap.RID
 	if j.ix.Hash != nil {
 		j.es.hashLookup()
-		j.ix.Hash.Lookup(key, func(p []byte) bool {
-			rids = append(rids, ridFromBytes(p))
-			return true
-		})
+		j.ix.Hash.Lookup(j.keyBuf, collect)
 	} else {
 		j.es.btreeSearch()
-		if err := j.ix.BTree.ScanPrefix(key, func(_, v []byte) bool {
-			rids = append(rids, ridFromBytes(v))
-			return true
-		}); err != nil {
+		if err := j.ix.BTree.ScanPrefix(j.keyBuf, func(_, v []byte) bool { return collect(v) }); err != nil {
 			return err
 		}
 	}
-	for _, rid := range rids {
+	j.right.Reset()
+	for _, rid := range j.rids {
 		rec, err := j.rt.Heap.Get(rid)
 		if err != nil {
 			return err
 		}
-		tup, err := value.DecodeTuple(rec)
+		if err := j.right.AppendRecord(rec); err != nil {
+			return err
+		}
+	}
+	if len(j.filters) == 0 && len(j.checks) == 0 {
+		return nil
+	}
+	j.sel = j.sel[:0] // non-nil: an empty selection must mean "no rows"
+	for r := 0; r < j.right.n; r++ {
+		keep, err := j.matches(r)
 		if err != nil {
 			return err
 		}
-		if keep, err := passes(j.rightFilter, j.rightSchema, tup); err != nil {
-			return err
-		} else if !keep {
-			continue
-		}
-		// The index may cover fewer columns than the equality set; the
-		// residual pairs are verified here.
-		match := true
-		for _, p := range j.pairs {
-			covered := false
-			for _, pos := range j.ix.ColPos {
-				if pos == p.rightCol {
-					covered = true
-					break
-				}
-			}
-			if covered {
-				continue
-			}
-			lv, err := Eval(p.left, Row{Schema: j.left.Schema(), Values: ltup})
-			if err != nil {
-				return err
-			}
-			if lv.IsNull() || tup[p.rightCol].IsNull() || value.Compare(lv, tup[p.rightCol]) != 0 {
-				match = false
-				break
-			}
-		}
-		if match {
-			j.matches = append(j.matches, tup)
+		if keep {
+			j.sel = append(j.sel, r)
 		}
 	}
-	j.mpos = 0
+	j.right.sel = j.sel
 	return nil
 }
 
-func (j *indexJoinIter) Next() (value.Tuple, bool, error) {
-	for {
-		if j.mpos < len(j.matches) {
-			rt := j.matches[j.mpos]
-			j.mpos++
-			out := make(value.Tuple, 0, len(j.current)+len(rt))
-			out = append(out, j.current...)
-			out = append(out, rt...)
-			return out, true, nil
-		}
-		ltup, ok, err := j.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		j.current = ltup
-		if err := j.probe(ltup); err != nil {
-			return nil, false, err
+// matches reports whether right row r passes the pushed-down filters and
+// the equality pairs the index lookup did not enforce.
+func (j *indexLoopJoin) matches(r int) (bool, error) {
+	for i := range j.filters {
+		if ok, err := j.filters[i].holds(j.right, r, j.scratch); err != nil || !ok {
+			return false, err
 		}
 	}
+	for _, c := range j.checks {
+		lv, rv := c.src.value(j.left.c, j.left.row), j.right.Value(c.rightCol, r)
+		if lv.IsNull() || rv.IsNull() || value.Compare(lv, rv) != 0 {
+			return false, nil
+		}
+	}
+	return true, nil
 }
 
-// nestedLoopIter is the fallback cross join; predicates are applied by
-// the caller's filters.
-type nestedLoopIter struct {
+// crossJoin is the nested-loop join for a binding with no usable
+// equality: the right side materialises once, in stream order, and every
+// left row pairs with every right row. Predicates are applied by the
+// caller's filters.
+type crossJoin struct {
 	es        *execState
-	left      rowIter
+	left      leftCursor
 	outSchema *Schema
-	rightSrc  func() (batchIter, error)
+	rightSrc  func() batchIter
 
-	right   []value.Tuple
-	built   bool
-	current value.Tuple
-	rpos    int
-	haveRow bool
+	right []value.Tuple
+	built bool
+	rpos  int // next right row to pair with the current left row
+	out   *chunk
 }
 
-func newNestedLoopIter(es *execState, left rowIter, outSchema *Schema, rightSrc func() (batchIter, error)) rowIter {
-	return &nestedLoopIter{es: es, left: left, outSchema: outSchema, rightSrc: rightSrc}
-}
+func (n *crossJoin) Schema() *Schema { return n.outSchema }
 
-func (n *nestedLoopIter) Schema() *Schema { return n.outSchema }
-
-func (n *nestedLoopIter) build() error {
+func (n *crossJoin) build() error {
 	n.built = true
-	src, err := n.rightSrc()
-	if err != nil {
-		return err
-	}
+	src := n.rightSrc()
 	for {
 		c, err := src.NextChunk()
-		if err != nil {
+		if err != nil || c == nil {
 			return err
-		}
-		if c == nil {
-			return nil
 		}
 		for k, cn := 0, c.Rows(); k < cn; k++ {
 			n.right = append(n.right, c.TupleAt(c.RowIdx(k)))
@@ -812,45 +791,33 @@ func (n *nestedLoopIter) build() error {
 	}
 }
 
-func (n *nestedLoopIter) Next() (value.Tuple, bool, error) {
+func (n *crossJoin) NextChunk() (*chunk, error) {
 	if !n.built {
 		if err := n.build(); err != nil {
-			return nil, false, err
+			return nil, err
 		}
+		n.rpos = len(n.right) // no current left row yet
+		n.out = newChunk(n.outSchema, defaultChunkCap)
 	}
+	n.out.Reset()
 	for {
-		if err := n.es.poll(); err != nil {
-			return nil, false, err
-		}
-		if n.haveRow && n.rpos < len(n.right) {
-			rt := n.right[n.rpos]
+		for n.rpos < len(n.right) {
+			if n.out.Full() {
+				return n.out, nil
+			}
+			if err := n.es.poll(); err != nil {
+				return nil, err
+			}
+			n.out.appendJoined(n.left.c, n.left.row, n.right[n.rpos])
 			n.rpos++
-			out := make(value.Tuple, 0, len(n.current)+len(rt))
-			out = append(out, n.current...)
-			out = append(out, rt...)
-			return out, true, nil
 		}
-		ltup, ok, err := n.left.Next()
-		if err != nil || !ok {
-			return nil, false, err
-		}
-		n.current = ltup
-		n.rpos = 0
-		n.haveRow = true
-	}
-}
-
-// passes evaluates pushed-down single-binding conjuncts against a right
-// tuple during join builds and probes.
-func passes(filters []Expr, schema *Schema, tup value.Tuple) (bool, error) {
-	for _, f := range filters {
-		v, err := Eval(f, Row{Schema: schema, Values: tup})
+		ok, _, err := n.left.next()
 		if err != nil {
-			return false, err
+			return nil, err
 		}
-		if !truthy(v) {
-			return false, nil
+		if !ok {
+			return n.out.orNil(), nil
 		}
+		n.rpos = 0
 	}
-	return true, nil
 }

@@ -35,12 +35,11 @@ var (
 // wrap them again when ok is true. Output order is byte-identical to the
 // serial plan for any worker count: chunks carry their chain position
 // and the merger emits them in heap order.
-func parallelizeScan(es *execState, it rowIter, filters []Expr) (batchIter, *obs.OpStats, bool) {
-	ss, ok := it.(*seqScanIter)
-	if !ok || es == nil || es.workers <= 1 {
+func parallelizeScan(es *execState, p *scanPlan, filters []Expr) (batchIter, *obs.OpStats, bool) {
+	if p.ix != nil || es == nil || es.workers <= 1 {
 		return nil, nil, false
 	}
-	pages := ss.t.Heap.PageIDs()
+	pages := p.t.Heap.PageIDs()
 	if len(pages) < parallelScanMinPages {
 		return nil, nil, false
 	}
@@ -48,30 +47,23 @@ func parallelizeScan(es *execState, it rowIter, filters []Expr) (batchIter, *obs
 	if workers > len(pages) {
 		workers = len(pages)
 	}
-	rows := float64(ss.t.Heap.Count())
 	work := float64(len(pages))*parallelPageCost +
-		rows*(parallelRowCost+parallelFilterCost*float64(len(filters)))
+		p.est*(parallelRowCost+parallelFilterCost*float64(len(filters)))
 	if work*(1-1/float64(workers)) < parallelOverhead {
 		return nil, nil, false
 	}
 	// The operator folds the filters in, so its estimate (and actuals)
 	// are post-filter output rows.
-	binding := ""
-	if len(ss.schema.Cols) > 0 {
-		binding = ss.schema.Cols[0].Table
-	}
 	op := es.tracef("  parallel scan (%d workers, %d pages) (batch=%d) (est rows=%d)",
-		workers, len(pages), ss.batch, estRowsInt(estScanRows(ss.t, binding, filters)))
-	p := &parallelScanIter{
-		es: es, t: ss.t, schema: ss.schema, batch: ss.batch,
-		filters: filters, pages: pages, workers: workers,
+		workers, len(pages), p.batch, estRowsInt(estScanRows(p.t, p.binding, filters)))
+	ps := &parallelScanIter{
+		es: es, t: p.t, schema: p.schema, batch: p.batch,
+		pages: pages, workers: workers,
 	}
 	for _, f := range filters {
-		cols, okc := predCols(f, ss.schema)
-		p.filterCols = append(p.filterCols, cols)
-		p.filterAll = append(p.filterAll, !okc)
+		ps.filters = append(ps.filters, newChunkPred(f, p.schema))
 	}
-	return p, op, true
+	return ps, op, true
 }
 
 // pageBatch is the unit of hand-off between scan workers and the merger:
@@ -96,13 +88,9 @@ type parallelScanIter struct {
 	t       *TableInfo
 	schema  *Schema
 	batch   int
-	filters []Expr
-	// Per-filter column sets, precomputed once so workers copy only the
-	// predicate's columns into their scratch row.
-	filterCols [][]int
-	filterAll  []bool
-	pages      []disk.PageID
-	workers    int
+	filters []chunkPred
+	pages   []disk.PageID
+	workers int
 
 	started bool
 	out     chan pageBatch
@@ -192,24 +180,19 @@ func (p *parallelScanIter) scanPage(i int, scratch value.Tuple) pageBatch {
 		return b
 	}
 	row := Row{Schema: p.schema, Values: scratch}
-	for fi, f := range p.filters {
+	for fi := range p.filters {
 		sel := c.sel[:0]
 		if sel == nil {
 			sel = make([]int, 0, c.n)
 		}
 		for k, n := 0, c.Rows(); k < n; k++ {
 			r := c.RowIdx(k)
-			if p.filterAll[fi] {
-				c.ReadRow(r, scratch)
-			} else {
-				c.ReadCols(r, p.filterCols[fi], scratch)
-			}
-			v, ferr := Eval(f, row)
+			ok, ferr := p.filters[fi].holds(c, r, row)
 			if ferr != nil {
 				b.err = ferr
 				return b
 			}
-			if truthy(v) {
+			if ok {
 				sel = append(sel, r)
 			}
 		}

@@ -3,9 +3,12 @@ package sql
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+
+	"xomatiq/internal/obs"
 )
 
 // seedBig creates an unindexed table spanning enough heap pages that the
@@ -50,10 +53,8 @@ func TestParallelScanDeterminism(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
 	for _, q := range parallelProbeQueries {
-		db.opts.QueryWorkers = 1
-		serial := rowStrings(mustQuery(t, db, q))
-		db.opts.QueryWorkers = 4
-		parallel := rowStrings(mustQuery(t, db, q))
+		serial := rowStrings(mustQueryOpts(t, db, q, ExecOpts{Workers: 1}))
+		parallel := rowStrings(mustQueryOpts(t, db, q, ExecOpts{Workers: 4}))
 		if strings.Join(serial, "\n") != strings.Join(parallel, "\n") {
 			t.Errorf("%s:\nserial   (%d rows) %v\nparallel (%d rows) %v",
 				q, len(serial), serial, len(parallel), parallel)
@@ -68,12 +69,10 @@ func TestParallelScanDeterminism(t *testing.T) {
 func TestParallelScanConcurrentClients(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
-	db.opts.QueryWorkers = 1
 	want := make([]string, len(parallelProbeQueries))
 	for i, q := range parallelProbeQueries {
-		want[i] = strings.Join(rowStrings(mustQuery(t, db, q)), "\n")
+		want[i] = strings.Join(rowStrings(mustQueryOpts(t, db, q, ExecOpts{Workers: 1})), "\n")
 	}
-	db.opts.QueryWorkers = 4
 	var wg sync.WaitGroup
 	errs := make(chan error, 64)
 	for c := 0; c < 8; c++ {
@@ -83,7 +82,7 @@ func TestParallelScanConcurrentClients(t *testing.T) {
 			for rep := 0; rep < 3; rep++ {
 				q := parallelProbeQueries[(c+rep)%len(parallelProbeQueries)]
 				i := (c + rep) % len(parallelProbeQueries)
-				rows, err := db.Query(q)
+				rows, err := queryOpts(db, q, ExecOpts{Workers: 4})
 				if err != nil {
 					errs <- fmt.Errorf("%s: %v", q, err)
 					return
@@ -107,10 +106,13 @@ func TestParallelScanConcurrentClients(t *testing.T) {
 func TestParallelScanCancellation(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
-	db.opts.QueryWorkers = 4
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := db.QueryContext(ctx, `SELECT COUNT(*) FROM big WHERE grp = 'g2'`); err == nil {
+	stmt, err := Parse(`SELECT COUNT(*) FROM big WHERE grp = 'g2'`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.QueryStmtOptsContext(ctx, stmt.(*Select), ExecOpts{Workers: 4}); err == nil {
 		t.Fatal("cancelled query returned no error")
 	}
 }
@@ -118,10 +120,15 @@ func TestParallelScanCancellation(t *testing.T) {
 // TestExplainReportsParallelScan checks the EXPLAIN satellite: the plan
 // trace names the operator with its worker and page counts, and stays
 // sequential when the table is too small or workers are capped at 1.
+// Explain plans with the DB-wide worker count; a traced run with a
+// per-query override renders the same plan lines.
 func TestExplainReportsParallelScan(t *testing.T) {
-	db := openDB(t)
+	db, err := Open(filepath.Join(t.TempDir(), "t.db"), Options{PoolPages: 512, QueryWorkers: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
 	seedBig(t, db, 3000)
-	db.opts.QueryWorkers = 4
 	plan, err := db.Explain(`SELECT k FROM big WHERE grp = 'g3'`)
 	if err != nil {
 		t.Fatal(err)
@@ -129,17 +136,13 @@ func TestExplainReportsParallelScan(t *testing.T) {
 	if !strings.Contains(plan, "parallel scan (4 workers, ") {
 		t.Errorf("plan missing parallel scan line:\n%s", plan)
 	}
-	db.opts.QueryWorkers = 1
-	plan, err = db.Explain(`SELECT k FROM big WHERE grp = 'g3'`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(plan, "parallel scan") {
+	qt := obs.NewQueryTrace(false)
+	mustQueryOpts(t, db, `SELECT k FROM big WHERE grp = 'g3'`, ExecOpts{Workers: 1, Trace: qt})
+	if plan := qt.Text(); strings.Contains(plan, "parallel scan") {
 		t.Errorf("workers=1 plan still parallel:\n%s", plan)
 	}
 	mustExec(t, db, `CREATE TABLE tiny (k INT)`)
 	mustExec(t, db, `INSERT INTO tiny VALUES (1)`)
-	db.opts.QueryWorkers = 4
 	plan, err = db.Explain(`SELECT k FROM tiny WHERE k = 1`)
 	if err != nil {
 		t.Fatal(err)
@@ -155,9 +158,8 @@ func TestExplainReportsParallelScan(t *testing.T) {
 func TestParallelScanAbandoned(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
-	db.opts.QueryWorkers = 4
 	for i := 0; i < 20; i++ {
-		r := mustQuery(t, db, `SELECT k FROM big LIMIT 3`)
+		r := mustQueryOpts(t, db, `SELECT k FROM big LIMIT 3`, ExecOpts{Workers: 4})
 		if len(r.Rows) != 3 {
 			t.Fatalf("LIMIT 3 returned %d rows", len(r.Rows))
 		}

@@ -79,6 +79,21 @@ func TestRollbackDiscardsBatch(t *testing.T) {
 	if got := rows.Rows[0][0].Int(); got != 6 {
 		t.Fatalf("after new commit COUNT(*) = %d, want 6", got)
 	}
+
+	// A batch that wrote nothing commits or rolls back without touching
+	// the log, publishing an epoch or replaying the WAL.
+	epoch, logSize, gen := db.CurrentEpoch(), db.log.Size(), db.rollbackGen.Load()
+	for _, end := range []func() error{db.Commit, db.Rollback} {
+		if err := db.Begin(); err != nil {
+			t.Fatal(err)
+		}
+		if err := end(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if db.CurrentEpoch() != epoch || db.log.Size() != logSize || db.rollbackGen.Load() != gen {
+		t.Error("an empty batch touched the log, the epoch or the rollback generation")
+	}
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}

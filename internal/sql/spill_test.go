@@ -30,17 +30,14 @@ const spillJoinQuery = `SELECT a.k, b.v FROM big a, big b WHERE a.k = b.k AND a.
 func TestJoinSpillByteIdentity(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
-	db.opts.QueryWorkers = 1
-	base := rowStrings(mustQuery(t, db, spillJoinQuery))
+	base := rowStrings(mustQueryOpts(t, db, spillJoinQuery, ExecOpts{Workers: 1}))
 	if len(base) == 0 {
 		t.Fatal("probe join returned no rows")
 	}
 	for _, workers := range []int{1, 4} {
 		for _, budget := range []int64{1 << 12, 1 << 16} {
-			db.opts.QueryWorkers = workers
-			db.opts.QueryMemBudget = budget
 			spilledBefore := db.reg.Exec.JoinSpillParts.Load()
-			got := rowStrings(mustQuery(t, db, spillJoinQuery))
+			got := rowStrings(mustQueryOpts(t, db, spillJoinQuery, ExecOpts{Workers: workers, MemBudget: budget}))
 			if strings.Join(got, "\n") != strings.Join(base, "\n") {
 				t.Errorf("workers=%d budget=%d: %d rows diverged from the in-memory run (%d rows)",
 					workers, budget, len(got), len(base))
@@ -50,7 +47,6 @@ func TestJoinSpillByteIdentity(t *testing.T) {
 			}
 		}
 	}
-	db.opts.QueryMemBudget = 0
 	if db.reg.Exec.JoinSpillBytes.Load() == 0 || db.reg.Exec.JoinSpillLoads.Load() == 0 {
 		t.Errorf("spill metrics not fed: bytes=%d loads=%d",
 			db.reg.Exec.JoinSpillBytes.Load(), db.reg.Exec.JoinSpillLoads.Load())
@@ -70,15 +66,8 @@ func TestJoinSpillByteIdentity(t *testing.T) {
 func TestJoinSpillExplainAnalyze(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
-	db.opts.QueryMemBudget = 1 << 12
-	stmt, err := Parse(spillJoinQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
 	qt := obs.NewQueryTrace(true)
-	if _, err := db.QueryStmtTracedContext(context.Background(), stmt.(*Select), qt); err != nil {
-		t.Fatal(err)
-	}
+	mustQueryOpts(t, db, spillJoinQuery, ExecOpts{MemBudget: 1 << 12, Trace: qt})
 	out := qt.Render(true)
 	if !strings.Contains(out, "partitioned hash join") || !strings.Contains(out, "spilled=") {
 		t.Fatalf("EXPLAIN ANALYZE missing spill annotation:\n%s", out)
@@ -90,7 +79,6 @@ func TestJoinSpillExplainAnalyze(t *testing.T) {
 func TestSessionMemBudgetOverride(t *testing.T) {
 	db := openDB(t)
 	seedBig(t, db, 3000)
-	db.opts.QueryWorkers = 1
 	base := rowStrings(mustQuery(t, db, spillJoinQuery))
 	stmt, err := Parse(spillJoinQuery)
 	if err != nil {
